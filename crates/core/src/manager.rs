@@ -815,16 +815,13 @@ impl PpmManager {
         // sorted merge-diff replaces HashSet differences, so churn events
         // fire in task-id order on every run.
         //
-        // Fast path: the snapshot's advisory change mask says the task
-        // section kept its digest, and an exact in-order id comparison
-        // (the hard guarantee — digests are probabilistic) confirms the
+        // Fast path: an exact in-order id comparison confirms the
         // membership is the same as last round's, so the sort + merge-diff
         // is skipped entirely. `snap.tasks` (hence `obs_buf.tasks`) is
         // ascending by id, and `known_tasks` is sorted, so a zip compare
         // is exact.
         let now = snap.now;
-        let membership_unchanged = !snap.changed.tasks
-            && self.obs_buf.tasks.len() == self.known_tasks.len()
+        let membership_unchanged = self.obs_buf.tasks.len() == self.known_tasks.len()
             && self
                 .obs_buf
                 .tasks

@@ -419,13 +419,16 @@ impl ScrapeServer {
             .spawn(move || {
                 while !t_stop.load(Ordering::Relaxed) {
                     match listener.accept() {
-                        Ok((stream, _)) => {
+                        Ok((mut stream, _)) => {
                             // Serve inline: scrape bodies are small and
                             // scrapers are few; a connection pool would be
-                            // dead weight here.
-                            if handle_conn(stream, &hub).is_ok() {
+                            // dead weight here. The request is counted
+                            // before the stream drops, so a client that
+                            // has read to EOF always sees it in `served`.
+                            if handle_conn(&mut stream, &hub).is_ok() {
                                 t_served.fetch_add(1, Ordering::Release);
                             }
+                            drop(stream);
                         }
                         Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                             std::thread::sleep(Duration::from_millis(5));
@@ -470,7 +473,7 @@ impl Drop for ScrapeServer {
     }
 }
 
-fn handle_conn(mut stream: TcpStream, hub: &SnapshotHub) -> io::Result<()> {
+fn handle_conn(stream: &mut TcpStream, hub: &SnapshotHub) -> io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_millis(500)))?;
     stream.set_write_timeout(Some(Duration::from_millis(2000)))?;
     // Read until the end of the request head (or the buffer fills — any

@@ -49,7 +49,8 @@ pub struct Violation {
     /// Start time of the offending quantum.
     pub at: SimTime,
     /// Digest of the snapshot the quantum's plan was computed from
-    /// (matches the tape line, when taping).
+    /// (matches the tape line, when taping). The executor hashes the
+    /// snapshot only when a tape record or a violation needs it.
     pub snapshot_digest: u64,
     /// Short stable name of the broken invariant.
     pub invariant: &'static str,
@@ -92,6 +93,8 @@ pub struct Auditor {
     quanta: u64,
     at: SimTime,
     digest: u64,
+    /// Index of the first violation reported in the current quantum.
+    quantum_start: usize,
     over_tdp_since: Option<SimTime>,
     over_hard_since: Option<SimTime>,
     tdp_reported: bool,
@@ -189,7 +192,21 @@ impl Auditor {
     pub fn begin_quantum(&mut self, at: SimTime, digest: u64) {
         self.at = at;
         self.digest = digest;
+        self.quantum_start = self.violations.len();
         self.quanta += 1;
+    }
+
+    /// Tag the current quantum with its snapshot digest after the fact:
+    /// when anything was reported since [`Self::begin_quantum`], call
+    /// `digest` once and stamp those violations with it. Lets the executor
+    /// leave the snapshot unhashed in a clean quantum.
+    pub fn tag_quantum_with(&mut self, digest: impl FnOnce() -> u64) {
+        if self.violations.len() > self.quantum_start {
+            self.digest = digest();
+            for v in &mut self.violations[self.quantum_start..] {
+                v.snapshot_digest = self.digest;
+            }
+        }
     }
 
     /// Check all system-level invariants against the post-step state.
@@ -419,6 +436,63 @@ mod tests {
         assert!(
             aud.violations().iter().any(|v| v.invariant == "affinity"),
             "{}",
+            aud.render()
+        );
+    }
+
+    /// Plans a share write on odd quanta (so a taped run records some
+    /// quanta and not others), reports a violation every third quantum, and
+    /// remembers the digest of every snapshot it planned from.
+    #[derive(Default)]
+    struct Reporter {
+        planned: Vec<u64>,
+    }
+
+    impl crate::executor::PowerManager for Reporter {
+        fn name(&self) -> &'static str {
+            "reporter"
+        }
+
+        fn plan(
+            &mut self,
+            snap: &crate::snapshot::SystemSnapshot,
+            _dt: SimDuration,
+            plan: &mut crate::plan::ActuationPlan,
+        ) {
+            let q = self.planned.len();
+            self.planned.push(snap.digest());
+            if q % 2 == 1 {
+                plan.set_share(TaskId(0), ppm_platform::units::ProcessingUnits(q as f64));
+            }
+        }
+
+        fn audit(&mut self, _snap: &crate::snapshot::SystemSnapshot, auditor: &mut Auditor) {
+            let q = self.planned.len() - 1;
+            if q.is_multiple_of(3) {
+                auditor.report("demo", format!("quantum {q}"));
+            }
+        }
+    }
+
+    #[test]
+    fn violations_carry_the_digest_of_the_snapshot_they_planned_from() {
+        let mut untaped = Simulation::new(busy_system(), Reporter::default()).with_auditor();
+        untaped.run_for(SimDuration::from_millis(30));
+        let aud = untaped.auditor().expect("auditor attached");
+        let planned = &untaped.manager().planned;
+        assert_eq!(aud.violations().len(), 10, "{}", aud.render());
+        for (v, q) in aud.violations().iter().zip((0..).step_by(3)) {
+            assert_eq!(v.detail, format!("quantum {q}"));
+            assert_eq!(v.snapshot_digest, planned[q], "quantum {q}");
+        }
+
+        let mut taped = Simulation::new(busy_system(), Reporter::default())
+            .with_auditor()
+            .with_tape();
+        taped.run_for(SimDuration::from_millis(30));
+        assert_eq!(taped.tape().expect("tape").records().len(), 15);
+        assert_eq!(
+            taped.auditor().expect("auditor attached").render(),
             aud.render()
         );
     }

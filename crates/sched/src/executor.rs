@@ -1034,11 +1034,10 @@ impl<M: PowerManager> Simulation<M> {
             } else {
                 None
             };
-            // Snapshot in, plan out, apply in one place. Without a fault
-            // plan nothing perturbs the snapshot's copies between captures,
-            // so the dynamic sections may be digest-gated like the task
-            // section; faulted runs keep the always-re-read path.
-            self.snap.capture_gated(&self.system, self.faults.is_none());
+            // Snapshot in, plan out, apply in one place. Capture is exact,
+            // so it also restores whatever the fault plan below perturbed
+            // in the previous quantum.
+            self.snap.capture(&self.system);
             if let Some(f) = &mut self.faults {
                 // Observation faults: perturb only what the manager sees.
                 // Cluster readings additionally pass through each agent's
@@ -1076,11 +1075,13 @@ impl<M: PowerManager> Simulation<M> {
                 &mut mark,
                 Phase::Plan,
             );
-            let need_digest =
-                self.auditor.is_some() || (self.tape.is_some() && !self.plan.is_empty());
-            let digest = if need_digest { self.snap.digest() } else { 0 };
+            // The snapshot digest is read by the tape on actuating quanta
+            // and by the auditor only when a quantum reports a violation
+            // (computed then, below, from this same snapshot).
+            let taped = self.tape.is_some() && !self.plan.is_empty();
+            let digest = if taped { self.snap.digest() } else { 0 };
             if let Some(tape) = &mut self.tape {
-                if !self.plan.is_empty() {
+                if taped {
                     tape.record(self.snap.now, digest, self.plan.ops());
                 }
             }
@@ -1138,11 +1139,13 @@ impl<M: PowerManager> Simulation<M> {
                 aud.begin_quantum(self.snap.now, digest);
                 aud.check_system(&self.system);
                 if let Some(tape) = &self.tape {
-                    if !self.plan.is_empty() {
+                    if taped {
                         aud.check_tape(tape);
                     }
                 }
                 self.manager.audit(&self.snap, aud);
+                let snap = &self.snap;
+                aud.tag_quantum_with(|| snap.digest());
                 lap(
                     self.telemetry.as_mut().map(|t| &mut t.profiler),
                     &mut mark,

@@ -10,15 +10,12 @@
 //!
 //! Capture reuses all buffers: after the first few quanta (static topology
 //! vectors are built once) a steady-state capture performs **zero heap
-//! allocation** — see `tests/zero_alloc.rs`. Every dynamic section is
-//! additionally gated on a live-state sub-digest, so a capture whose
-//! telemetry has not moved skips the refresh entirely. The chip-scalar,
-//! core, and cluster gates only engage when the caller vouches that the
-//! snapshot's copies were not perturbed since the previous capture
-//! ([`SystemSnapshot::capture_gated`] with `sections_trusted`) — the
-//! executor passes that exactly when no `FaultPlan` is attached, because
-//! observation faults rewrite chip power, cluster powers, and `hottest`
-//! in place after capture; faulted runs keep the always-re-read path.
+//! allocation** — see `tests/zero_alloc.rs`. It is a compare-and-copy:
+//! every live value is read once and compared with the snapshot's copy by
+//! exact bits, and only differing entries are written, so a capture whose
+//! telemetry has not moved writes nothing. No hash runs at capture; the
+//! FNV-1a [`SystemSnapshot::digest`] is computed only when a tape record or
+//! an audit violation needs it.
 
 use ppm_platform::cluster::ClusterId;
 use ppm_platform::core::{CoreClass, CoreId};
@@ -69,6 +66,32 @@ impl TaskSnap {
             CoreClass::Little => self.demand_little,
             CoreClass::Big => self.demand_big,
         }
+    }
+
+    /// Exact equality of every field, floats by bit pattern (see [`Bits`]).
+    fn same_bits(&self, o: &TaskSnap) -> bool {
+        self.id == o.id
+            && self.core == o.core
+            && self.priority == o.priority
+            && self.share.bits() == o.share.bits()
+            && self.granted.bits() == o.granted.bits()
+            && self.pelt_load.bits() == o.pelt_load.bits()
+            && self.stalled == o.stalled
+            && self.heart_rate.bits() == o.heart_rate.bits()
+            && self.target_rate.bits() == o.target_rate.bits()
+            && self.demand.bits() == o.demand.bits()
+            && self.demand_little.bits() == o.demand_little.bits()
+            && self.demand_big.bits() == o.demand_big.bits()
+            && self.cost_per_beat.map(Bits::bits) == o.cost_per_beat.map(Bits::bits)
+            && match (self.open_loop, o.open_loop) {
+                (Some(a), Some(b)) => {
+                    a.queue_depth == b.queue_depth
+                        && a.p99_ms.bits() == b.p99_ms.bits()
+                        && a.slo_ms.bits() == b.slo_ms.bits()
+                        && a.shed == b.shed
+                }
+                (a, b) => a.is_none() && b.is_none(),
+            }
     }
 }
 
@@ -149,58 +172,6 @@ impl ClusterSnap {
     }
 }
 
-/// Per-section "what changed since the previous capture" mask.
-///
-/// Derived from per-section FNV-1a sub-digests compared across consecutive
-/// [`SystemSnapshot::capture`] calls. Capture time (`now`) is deliberately
-/// excluded — it advances every quantum and carries no decision input.
-///
-/// Digest equality is **probabilistic** (a 64-bit collision could mark a
-/// changed section clean), so the mask is advisory: use it to skip cheap
-/// bookkeeping or as a fast pre-filter, but any consumer that needs a hard
-/// bit-identity guarantee must confirm with an exact comparison of the data
-/// it depends on (the market's incremental fast path does exactly that).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChangeMask {
-    /// Chip scalars changed (power sample, hottest junction temperature).
-    pub chip: bool,
-    /// The task section changed (membership or any per-task field).
-    pub tasks: bool,
-    /// The core section changed (utilization or supply on any core).
-    pub cores: bool,
-    /// The cluster section changed (level, target, gating, supply, power).
-    pub clusters: bool,
-}
-
-impl ChangeMask {
-    /// Everything dirty — the state before any capture pair exists.
-    pub const ALL: ChangeMask = ChangeMask {
-        chip: true,
-        tasks: true,
-        cores: true,
-        clusters: true,
-    };
-
-    /// True when any section changed.
-    pub fn any(self) -> bool {
-        self.chip || self.tasks || self.cores || self.clusters
-    }
-
-    /// Number of dirty sections, 0–4.
-    pub fn dirty_sections(self) -> u32 {
-        u32::from(self.chip)
-            + u32::from(self.tasks)
-            + u32::from(self.cores)
-            + u32::from(self.clusters)
-    }
-}
-
-impl Default for ChangeMask {
-    fn default() -> ChangeMask {
-        ChangeMask::ALL
-    }
-}
-
 /// Everything a power manager may observe, captured at one instant.
 #[derive(Debug, Default)]
 pub struct SystemSnapshot {
@@ -216,14 +187,10 @@ pub struct SystemSnapshot {
     pub cores: Vec<CoreSnap>,
     /// All clusters, indexed by cluster id.
     pub clusters: Vec<ClusterSnap>,
-    /// What changed since the previous capture (advisory — see [`ChangeMask`]).
-    pub changed: ChangeMask,
-    /// Previous capture's per-section sub-digests, `None` before the first.
-    prev_sections: Option<[u64; 4]>,
-    /// How many captures actually rebuilt the task section (stat).
+    /// How many captures found the task section changed (stat).
     task_rebuilds: u64,
-    /// How many captures refreshed any of the chip/core/cluster dynamic
-    /// sections (stat; untrusted captures always count).
+    /// How many captures found any of the chip/core/cluster dynamic
+    /// sections changed (stat).
     dynamic_refreshes: u64,
 }
 
@@ -233,28 +200,23 @@ impl SystemSnapshot {
         SystemSnapshot::default()
     }
 
-    /// Capture `sys` into this snapshot, reusing all buffers. Equivalent
-    /// to [`SystemSnapshot::capture_gated`] with `sections_trusted` false
-    /// — the safe default for callers that may mutate the snapshot's
-    /// copies between captures.
+    /// Capture `sys` into this snapshot, reusing all buffers.
+    ///
+    /// Every live value is read once and compared with the snapshot's copy
+    /// by exact bits; only differing entries are written. The result is
+    /// bit-identical to a capture into a fresh snapshot, whatever was
+    /// written into this one since the previous capture — in particular,
+    /// observation faults that perturb the copies in place are simply seen
+    /// as differences and overwritten.
     pub fn capture(&mut self, sys: &System) {
-        self.capture_gated(sys, false);
-    }
-
-    /// Capture `sys`, additionally gating the chip-scalar, core, and
-    /// cluster refreshes on live-state sub-digests when `sections_trusted`
-    /// is true. Trusted means: nothing mutated this snapshot's copies
-    /// since the previous `capture*` call (the executor vouches for that
-    /// exactly when no fault plan is attached — observation faults rewrite
-    /// chip power, cluster powers, and `hottest` in place). The task
-    /// section is always digest-gated; its live values are never perturbed
-    /// in place. All gates share [`ChangeMask`]'s 64-bit collision caveat.
-    pub fn capture_gated(&mut self, sys: &System, sections_trusted: bool) {
         let chip = sys.chip();
         self.now = sys.now();
 
-        // Static topology: built once, then only dynamic fields refresh.
-        if self.clusters.len() != chip.clusters().len() {
+        // Static topology: built once, then only dynamic fields refresh. A
+        // fresh build counts as a change of every section.
+        let new_clusters = self.clusters.len() != chip.clusters().len();
+        let new_cores = self.cores.len() != chip.cores().len();
+        if new_clusters {
             self.clusters = chip
                 .clusters()
                 .iter()
@@ -271,7 +233,7 @@ impl SystemSnapshot {
                 })
                 .collect();
         }
-        if self.cores.len() != chip.cores().len() {
+        if new_cores {
             self.cores = chip
                 .cores()
                 .iter()
@@ -285,294 +247,98 @@ impl SystemSnapshot {
                 })
                 .collect();
         }
-        // Dynamic sections: the live-side digests double as the section
-        // digests below (they hash exactly the fields a refresh would
-        // store, in exactly the same order), so a trusted capture whose
-        // digest matches the previous one skips the refresh entirely — the
-        // snapshot already holds those bytes.
-        let chip_digest = Self::live_chip_digest(sys);
-        let cores_digest = Self::live_cores_digest(sys);
-        let clusters_digest = Self::live_clusters_digest(sys);
-        let trusted_prev = if sections_trusted {
-            self.prev_sections
-        } else {
-            None
-        };
-        let chip_clean = trusted_prev.is_some_and(|p| p[0] == chip_digest);
-        let cores_clean = trusted_prev.is_some_and(|p| p[2] == cores_digest);
-        let clusters_clean = trusted_prev.is_some_and(|p| p[3] == clusters_digest);
-        if !(chip_clean && cores_clean && clusters_clean) {
-            self.dynamic_refreshes += 1;
-        }
-        if !chip_clean {
-            self.chip_power = sys.chip_power();
-            self.hottest = sys.thermal().map(|t| t.hottest());
-        }
-        if !clusters_clean {
-            for (snap, cl) in self.clusters.iter_mut().zip(chip.clusters()) {
-                snap.level = cl.level().0;
-                snap.effective_target = cl.effective_target().0;
-                snap.off = cl.is_off();
-                snap.supply_per_core = cl.supply_per_core();
-                snap.power = sys.cluster_power(cl.id());
-            }
-        }
-        if !cores_clean {
-            for (snap, d) in self.cores.iter_mut().zip(chip.cores()) {
-                snap.utilization = sys.core_utilization(d.id());
-                snap.supply = chip.core_supply(d.id());
-            }
-        }
-        debug_assert_eq!(
-            chip_digest,
-            self.chip_digest(),
-            "live and snapshot chip digests drifted apart"
-        );
-        debug_assert_eq!(
-            cores_digest,
-            self.cores_digest(),
-            "live and snapshot core digests drifted apart"
-        );
-        debug_assert_eq!(
-            clusters_digest,
-            self.clusters_digest(),
-            "live and snapshot cluster digests drifted apart"
-        );
 
-        // Task section: the rebuild walks every task through half a dozen
-        // telemetry accessors, so it is gated on a digest of the *live*
-        // values (never the snapshot's own copy, which observation faults
-        // may have perturbed after the previous capture — those only touch
-        // chip power, cluster powers, and `hottest`, all refreshed above).
-        // In steady state telemetry converges and the section digest stops
-        // moving, so the common case is one read-only pass and no writes.
-        // The gate shares ChangeMask's 64-bit-collision caveat.
-        let tasks_digest = Self::live_tasks_digest(sys);
-        let tasks_clean = self
-            .prev_sections
-            .is_some_and(|prev| prev[1] == tasks_digest);
-        if !tasks_clean {
-            self.task_rebuilds += 1;
-            self.tasks.clear();
-            self.tasks.extend(sys.task_iter().map(|id| {
-                let task = sys.task(id);
-                let core = sys.core_of(id);
-                let class = chip.core(core).class();
-                TaskSnap {
-                    id,
-                    core,
-                    priority: task.priority().value(),
-                    share: sys.share_of(id),
-                    granted: sys.granted(id),
-                    pelt_load: sys.pelt_load(id),
-                    stalled: sys.is_stalled(id),
-                    heart_rate: task.heart_rate(),
-                    target_rate: task.spec().target_range().target(),
-                    demand: task.demand(class, class),
-                    // Pressure-scaled for open-loop tasks (== raw profile
-                    // for closed-loop, so committed digests are untouched).
-                    demand_little: task.planning_demand(CoreClass::Little),
-                    demand_big: task.planning_demand(CoreClass::Big),
-                    cost_per_beat: task.measured_cost_per_beat(),
-                    open_loop: task.open_loop_snap(),
+        let fresh = new_clusters || new_cores;
+
+        // Dynamic sections. `|` (not `||`) so every field is written.
+        let mut dynamic = fresh | put(&mut self.chip_power, sys.chip_power());
+        let hottest = sys.thermal().map(|t| t.hottest());
+        if hottest.map(Bits::bits) != self.hottest.map(Bits::bits) {
+            self.hottest = hottest;
+            dynamic = true;
+        }
+        for (snap, cl) in self.clusters.iter_mut().zip(chip.clusters()) {
+            dynamic |= put(&mut snap.level, cl.level().0)
+                | put(&mut snap.effective_target, cl.effective_target().0)
+                | put(&mut snap.off, cl.is_off())
+                | put(&mut snap.supply_per_core, cl.supply_per_core())
+                | put(&mut snap.power, sys.cluster_power(cl.id()));
+        }
+        for (snap, d) in self.cores.iter_mut().zip(chip.cores()) {
+            dynamic |= put(&mut snap.utilization, sys.core_utilization(d.id()))
+                | put(&mut snap.supply, chip.core_supply(d.id()));
+        }
+        self.dynamic_refreshes += u64::from(dynamic);
+
+        // Task section, membership changes included: overwrite differing
+        // entries in place, push arrivals, truncate departures. The buffer's
+        // capacity is reused, so steady state allocates nothing.
+        let mut tasks = fresh;
+        let mut n = 0;
+        for id in sys.task_iter() {
+            let live = Self::task_snap(sys, id);
+            match self.tasks.get_mut(n) {
+                Some(snap) if snap.same_bits(&live) => {}
+                Some(snap) => {
+                    *snap = live;
+                    tasks = true;
                 }
-            }));
+                None => {
+                    self.tasks.push(live);
+                    tasks = true;
+                }
+            }
+            n += 1;
         }
-        debug_assert_eq!(
-            tasks_digest,
-            Self::tasks_section_digest(&self.tasks),
-            "live and snapshot task digests drifted apart"
-        );
-
-        let sections = [chip_digest, tasks_digest, cores_digest, clusters_digest];
-        self.changed = match self.prev_sections {
-            Some(prev) => ChangeMask {
-                chip: sections[0] != prev[0],
-                tasks: sections[1] != prev[1],
-                cores: sections[2] != prev[2],
-                clusters: sections[3] != prev[3],
-            },
-            None => ChangeMask::ALL,
-        };
-        self.prev_sections = Some(sections);
+        if self.tasks.len() > n {
+            self.tasks.truncate(n);
+            tasks = true;
+        }
+        self.task_rebuilds += u64::from(tasks);
     }
 
-    /// How many captures so far rebuilt the task section (the rest were
-    /// digest-gated to a read-only pass).
+    /// Forwards to [`SystemSnapshot::capture`] and ignores
+    /// `sections_trusted`: the exact comparison needs no promise that the
+    /// snapshot's copies were left untouched.
+    pub fn capture_gated(&mut self, sys: &System, _sections_trusted: bool) {
+        self.capture(sys);
+    }
+
+    /// The live telemetry of active task `id`, as the paper's agents see it.
+    fn task_snap(sys: &System, id: TaskId) -> TaskSnap {
+        let task = sys.task(id);
+        let core = sys.core_of(id);
+        let class = sys.chip().core(core).class();
+        TaskSnap {
+            id,
+            core,
+            priority: task.priority().value(),
+            share: sys.share_of(id),
+            granted: sys.granted(id),
+            pelt_load: sys.pelt_load(id),
+            stalled: sys.is_stalled(id),
+            heart_rate: task.heart_rate(),
+            target_rate: task.spec().target_range().target(),
+            demand: task.demand(class, class),
+            // Pressure-scaled for open-loop tasks (== raw profile for
+            // closed-loop, so committed digests are untouched).
+            demand_little: task.planning_demand(CoreClass::Little),
+            demand_big: task.planning_demand(CoreClass::Big),
+            cost_per_beat: task.measured_cost_per_beat(),
+            open_loop: task.open_loop_snap(),
+        }
+    }
+
+    /// How many captures so far found the task section changed (first
+    /// capture included); the rest wrote nothing to it.
     pub fn task_rebuilds(&self) -> u64 {
         self.task_rebuilds
     }
 
-    /// How many captures so far refreshed any of the chip-scalar, core, or
-    /// cluster dynamic sections (untrusted captures always refresh; see
-    /// [`SystemSnapshot::capture_gated`]).
+    /// How many captures so far found any of the chip-scalar, core, or
+    /// cluster dynamic sections changed (first capture included).
     pub fn dynamic_refreshes(&self) -> u64 {
         self.dynamic_refreshes
-    }
-
-    // Per-section FNV-1a sub-digests: chip scalars, tasks, cores, clusters.
-    // `now` is excluded (see [`ChangeMask`]); otherwise these cover the same
-    // fields as [`SystemSnapshot::digest`], which stays untouched so tape
-    // digests are unaffected.
-
-    fn chip_digest(&self) -> u64 {
-        let mut chip = Fnv::new();
-        chip.f64(self.chip_power.value());
-        match self.hottest {
-            Some(c) => {
-                chip.u64(1);
-                chip.f64(c.value());
-            }
-            None => chip.u64(0),
-        }
-        chip.finish()
-    }
-
-    /// Chip-scalar digest streamed straight from the live system —
-    /// [`Self::chip_digest`] is its snapshot-side twin.
-    fn live_chip_digest(sys: &System) -> u64 {
-        let mut h = Fnv::new();
-        h.f64(sys.chip_power().value());
-        match sys.thermal().map(|t| t.hottest()) {
-            Some(c) => {
-                h.u64(1);
-                h.f64(c.value());
-            }
-            None => h.u64(0),
-        }
-        h.finish()
-    }
-
-    /// Core-section digest streamed straight from the live system —
-    /// [`Self::cores_digest`] is its snapshot-side twin.
-    fn live_cores_digest(sys: &System) -> u64 {
-        let chip = sys.chip();
-        let mut h = Fnv::new();
-        h.u64(chip.cores().len() as u64);
-        for d in chip.cores() {
-            h.f64(sys.core_utilization(d.id()));
-            h.f64(chip.core_supply(d.id()).value());
-        }
-        h.finish()
-    }
-
-    /// Cluster-section digest streamed straight from the live system —
-    /// [`Self::clusters_digest`] is its snapshot-side twin.
-    fn live_clusters_digest(sys: &System) -> u64 {
-        let chip = sys.chip();
-        let mut h = Fnv::new();
-        h.u64(chip.clusters().len() as u64);
-        for cl in chip.clusters() {
-            h.u64(cl.level().0 as u64);
-            h.u64(cl.effective_target().0 as u64);
-            h.u64(u64::from(cl.is_off()));
-            h.f64(cl.supply_per_core().value());
-            h.f64(sys.cluster_power(cl.id()).value());
-        }
-        h.finish()
-    }
-
-    /// Task-section digest streamed straight from the live system, hashing
-    /// exactly the fields (in exactly the order) a rebuild would store —
-    /// [`Self::tasks_section_digest`] is its snapshot-side twin, and
-    /// `capture` debug-asserts the two stay in lockstep.
-    fn live_tasks_digest(sys: &System) -> u64 {
-        let chip = sys.chip();
-        let mut h = Fnv::new();
-        // Length prefix counts *active* tasks (`task_count` also counts
-        // removed ids, which stay allocated).
-        h.u64(sys.task_iter().count() as u64);
-        for id in sys.task_iter() {
-            let task = sys.task(id);
-            let core = sys.core_of(id);
-            let class = chip.core(core).class();
-            h.u64(id.0 as u64);
-            h.u64(core.0 as u64);
-            h.u64(u64::from(task.priority().value()));
-            h.f64(sys.share_of(id).value());
-            h.f64(sys.granted(id).value());
-            h.f64(sys.pelt_load(id));
-            h.u64(u64::from(sys.is_stalled(id)));
-            h.f64(task.heart_rate());
-            h.f64(task.spec().target_range().target());
-            h.f64(task.demand(class, class).value());
-            h.f64(task.planning_demand(CoreClass::Little).value());
-            h.f64(task.planning_demand(CoreClass::Big).value());
-            match task.measured_cost_per_beat() {
-                Some(c) => {
-                    h.u64(1);
-                    h.f64(c);
-                }
-                None => h.u64(0),
-            }
-            // Hashed only when present so closed-loop digests (and the
-            // committed golden tapes built from them) are byte-unchanged.
-            if let Some(o) = task.open_loop_snap() {
-                h.u64(1);
-                h.u64(u64::from(o.queue_depth));
-                h.f64(o.p99_ms);
-                h.f64(o.slo_ms);
-                h.u64(o.shed);
-            }
-        }
-        h.finish()
-    }
-
-    fn tasks_section_digest(tasks: &[TaskSnap]) -> u64 {
-        let mut h = Fnv::new();
-        h.u64(tasks.len() as u64);
-        for t in tasks {
-            h.u64(t.id.0 as u64);
-            h.u64(t.core.0 as u64);
-            h.u64(u64::from(t.priority));
-            h.f64(t.share.value());
-            h.f64(t.granted.value());
-            h.f64(t.pelt_load);
-            h.u64(u64::from(t.stalled));
-            h.f64(t.heart_rate);
-            h.f64(t.target_rate);
-            h.f64(t.demand.value());
-            h.f64(t.demand_little.value());
-            h.f64(t.demand_big.value());
-            match t.cost_per_beat {
-                Some(c) => {
-                    h.u64(1);
-                    h.f64(c);
-                }
-                None => h.u64(0),
-            }
-            if let Some(o) = t.open_loop {
-                h.u64(1);
-                h.u64(u64::from(o.queue_depth));
-                h.f64(o.p99_ms);
-                h.f64(o.slo_ms);
-                h.u64(o.shed);
-            }
-        }
-        h.finish()
-    }
-
-    fn cores_digest(&self) -> u64 {
-        let mut cores = Fnv::new();
-        cores.u64(self.cores.len() as u64);
-        for c in &self.cores {
-            cores.f64(c.utilization);
-            cores.f64(c.supply.value());
-        }
-        cores.finish()
-    }
-
-    fn clusters_digest(&self) -> u64 {
-        let mut clusters = Fnv::new();
-        clusters.u64(self.clusters.len() as u64);
-        for cl in &self.clusters {
-            clusters.u64(cl.level as u64);
-            clusters.u64(cl.effective_target as u64);
-            clusters.u64(u64::from(cl.off));
-            clusters.f64(cl.supply_per_core.value());
-            clusters.f64(cl.power.value());
-        }
-        clusters.finish()
     }
 
     /// The snapshot of `task`, if active (binary search — tasks are sorted).
@@ -660,6 +426,58 @@ impl SystemSnapshot {
         }
         h.finish()
     }
+}
+
+/// A value's identity as the digest sees it: floats by bit pattern, so
+/// `-0.0` differs from `0.0` and a NaN equals itself.
+trait Bits: Copy {
+    fn bits(self) -> u64;
+}
+
+impl Bits for f64 {
+    fn bits(self) -> u64 {
+        self.to_bits()
+    }
+}
+
+impl Bits for ProcessingUnits {
+    fn bits(self) -> u64 {
+        self.0.to_bits()
+    }
+}
+
+impl Bits for Watts {
+    fn bits(self) -> u64 {
+        self.0.to_bits()
+    }
+}
+
+impl Bits for Celsius {
+    fn bits(self) -> u64 {
+        self.0.to_bits()
+    }
+}
+
+impl Bits for usize {
+    fn bits(self) -> u64 {
+        self as u64
+    }
+}
+
+impl Bits for bool {
+    fn bits(self) -> u64 {
+        u64::from(self)
+    }
+}
+
+/// Store `value` in `slot` unless the two are bit-identical; true when it
+/// wrote.
+fn put<T: Bits>(slot: &mut T, value: T) -> bool {
+    let differs = slot.bits() != value.bits();
+    if differs {
+        *slot = value;
+    }
+    differs
 }
 
 /// Minimal FNV-1a, enough for stable tape digests.
@@ -776,33 +594,6 @@ mod tests {
     }
 
     #[test]
-    fn change_mask_tracks_sections_across_captures() {
-        let mut sys = sys_with_tasks(2);
-        let mut snap = SystemSnapshot::new();
-
-        snap.capture(&sys);
-        assert_eq!(snap.changed, ChangeMask::ALL, "first capture is all-dirty");
-        assert_eq!(snap.changed.dirty_sections(), 4);
-
-        snap.capture(&sys);
-        assert!(!snap.changed.any(), "identical recapture must be clean");
-        assert_eq!(snap.changed.dirty_sections(), 0);
-
-        sys.set_share(TaskId(0), ProcessingUnits(42.0));
-        snap.capture(&sys);
-        assert!(snap.changed.tasks, "share write dirties the task section");
-        assert!(!snap.changed.chip);
-        assert!(!snap.changed.cores);
-        assert!(!snap.changed.clusters);
-
-        sys.power_off(ClusterId(1));
-        snap.capture(&sys);
-        assert!(snap.changed.clusters, "gating dirties the cluster section");
-        assert!(snap.changed.cores, "gating zeroes the cores' supply");
-        assert!(!snap.changed.tasks);
-    }
-
-    #[test]
     fn steady_recapture_skips_the_task_rebuild() {
         let mut sys = sys_with_tasks(3);
         let mut snap = SystemSnapshot::new();
@@ -858,28 +649,6 @@ mod tests {
         snap.capture_gated(&sys, true);
         assert_eq!(snap.dynamic_refreshes(), 2, "gating forces a refresh");
         assert!(snap.cluster(ClusterId(1)).off);
-    }
-
-    #[test]
-    fn untrusted_recapture_always_refreshes() {
-        let sys = sys_with_tasks(1);
-        let mut snap = SystemSnapshot::new();
-        snap.capture(&sys);
-        snap.capture(&sys);
-        snap.capture_gated(&sys, false);
-        assert_eq!(snap.dynamic_refreshes(), 3);
-    }
-
-    #[test]
-    fn live_and_snapshot_task_digests_agree() {
-        let mut sys = sys_with_tasks(4);
-        sys.set_share(TaskId(1), ProcessingUnits(3.5));
-        let mut snap = SystemSnapshot::new();
-        snap.capture(&sys);
-        assert_eq!(
-            SystemSnapshot::live_tasks_digest(&sys),
-            SystemSnapshot::tasks_section_digest(&snap.tasks)
-        );
     }
 
     #[test]

@@ -1,16 +1,22 @@
 //! Property-based tests on the substrate invariants: allocation, heartbeat
-//! accounting, V-F tables, PELT, and the LBT estimator.
+//! accounting, V-F tables, PELT, the LBT estimator, and exact snapshot
+//! capture.
 
 use proptest::prelude::*;
 
 use ppm::core::lbt::{constrained_core_scan, RemoteCluster, TaskSnapshot};
-use ppm::platform::core::CoreClass;
-use ppm::platform::units::{MegaHertz, Money, Price, ProcessingUnits, SimDuration, SimTime};
+use ppm::platform::chip::Chip;
+use ppm::platform::cluster::ClusterId;
+use ppm::platform::core::{CoreClass, CoreId};
+use ppm::platform::thermal::{Celsius, ThermalModel};
+use ppm::platform::units::{MegaHertz, Money, Price, ProcessingUnits, SimDuration, SimTime, Watts};
 use ppm::platform::vf::linear_table;
 use ppm::sched::runqueue::{fair_allocate, market_allocate, Claimant};
-use ppm::sched::PeltTracker;
+use ppm::sched::{AllocationPolicy, NullManager, PeltTracker, Simulation, SystemSnapshot};
+use ppm::workload::arrivals::ArrivalKind;
 use ppm::workload::benchmarks::{Benchmark, BenchmarkSpec, Input};
 use ppm::workload::perclass::PerClass;
+use ppm::workload::request::{OpenLoopSnap, OpenLoopSpec};
 use ppm::workload::task::{Priority, Task, TaskId};
 
 fn claimants() -> impl Strategy<Value = Vec<Claimant>> {
@@ -181,5 +187,118 @@ proptest! {
         prop_assert!(r.core < 4);
         prop_assert!((0.0..=1.0 + 1e-9).contains(&r.ratio));
         prop_assert!(r.spend.value() >= 0.0);
+    }
+
+    /// One snapshot recaptured after every step of a random sequence of
+    /// share writes, gating, task churn, stepped quanta, and in-place
+    /// perturbations of its own copies (as observation faults make) stays
+    /// bit-identical to a fresh capture, and its counters advance exactly
+    /// when a section differed from the snapshot's pre-capture copy.
+    #[test]
+    fn reused_capture_equals_fresh_capture(
+        thermal in proptest::bool::ANY,
+        ops in proptest::collection::vec(
+            (0u8..8, 0usize..64, -50.0f64..50.0, 0usize..15),
+            1..48,
+        ),
+    ) {
+        let mut sys = ppm::sched::System::new(Chip::tc2(), AllocationPolicy::Market);
+        if thermal {
+            sys.attach_thermal(ThermalModel::mobile(2));
+        }
+        let mut sim = Simulation::new(sys, NullManager);
+        let mut snap = SystemSnapshot::new();
+        snap.capture(sim.system());
+        for (op, arg, val, field) in ops {
+            let odd = match arg % 3 {
+                0 => -0.0,
+                1 => f64::NAN,
+                _ => val,
+            };
+            let sys = sim.system_mut();
+            let active: Vec<_> = sys.task_iter().collect();
+            match op {
+                0 if !active.is_empty() => {
+                    sys.set_share(active[arg % active.len()], ProcessingUnits(val.abs() * 20.0));
+                }
+                1 => sys.power_off(ClusterId(arg % 2)),
+                2 => sys.power_on(ClusterId(arg % 2)),
+                3 => {
+                    let id = TaskId(sys.task_count());
+                    let mut spec = BenchmarkSpec::of(Benchmark::Blackscholes, Input::Large)
+                        .expect("variant");
+                    if arg % 2 == 1 {
+                        let slo = SimDuration::from_millis(100);
+                        let arrivals = ArrivalKind::Poisson { rate: 25.0 };
+                        spec = spec.with_open_loop(OpenLoopSpec::new(arrivals, 7, 4.0, 1.5, slo));
+                    }
+                    sys.add_task(Task::new(id, spec, Priority(1)), CoreId(arg % 5));
+                }
+                4 if !active.is_empty() => sys.remove_task(active[arg % active.len()]),
+                5 => sim.run_for(SimDuration::from_millis(1 + arg as u64 % 4)),
+                6 => {
+                    snap.chip_power = Watts(odd);
+                    snap.clusters[arg % 2].power = Watts(val);
+                    snap.hottest = if arg % 2 == 0 { Some(Celsius(odd)) } else { None };
+                }
+                7 if !snap.tasks.is_empty() => {
+                    // A caller scribbling on the task copies is undone too.
+                    let n = snap.tasks.len();
+                    let t = &mut snap.tasks[arg % n];
+                    match field {
+                        0 => t.id = TaskId(t.id.0 + 100),
+                        1 => t.core = CoreId(7),
+                        2 => t.priority += 1,
+                        3 => t.share = ProcessingUnits(odd),
+                        4 => t.granted = ProcessingUnits(odd),
+                        5 => t.pelt_load = odd,
+                        6 => t.stalled = !t.stalled,
+                        7 => t.heart_rate = odd,
+                        8 => t.target_rate = odd,
+                        9 => t.demand = ProcessingUnits(odd),
+                        10 => t.demand_little = ProcessingUnits(odd),
+                        11 => t.demand_big = ProcessingUnits(odd),
+                        12 => t.cost_per_beat = t.cost_per_beat.map_or(Some(odd), |_| None),
+                        13 => t.open_loop = None,
+                        _ => {
+                            let o = t.open_loop.get_or_insert(OpenLoopSnap {
+                                queue_depth: 0,
+                                p99_ms: 0.0,
+                                slo_ms: 0.0,
+                                shed: 0,
+                            });
+                            o.queue_depth += 1;
+                            o.p99_ms = odd;
+                            o.slo_ms = -odd;
+                            o.shed += 1;
+                        }
+                    }
+                }
+                _ => {}
+            }
+
+            let dynamic = |s: &SystemSnapshot| {
+                format!("{:?} {:?} {:?} {:?}", s.chip_power, s.hottest, s.cores, s.clusters)
+            };
+            let (rebuilds, refreshes) = (snap.task_rebuilds(), snap.dynamic_refreshes());
+            let (before_tasks, before) = (format!("{:?}", snap.tasks), dynamic(&snap));
+            snap.capture(sim.system());
+            let mut fresh = SystemSnapshot::new();
+            fresh.capture(sim.system());
+
+            prop_assert_eq!(snap.now, fresh.now);
+            prop_assert_eq!(dynamic(&snap), dynamic(&fresh));
+            let tasks = format!("{:?}", fresh.tasks);
+            prop_assert_eq!(format!("{:?}", snap.tasks), tasks.clone());
+            prop_assert_eq!(snap.digest(), fresh.digest());
+            prop_assert_eq!(
+                snap.task_rebuilds() - rebuilds,
+                u64::from(tasks != before_tasks)
+            );
+            prop_assert_eq!(
+                snap.dynamic_refreshes() - refreshes,
+                u64::from(before != dynamic(&fresh))
+            );
+        }
     }
 }
