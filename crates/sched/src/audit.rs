@@ -101,6 +101,8 @@ pub struct Auditor {
     clusters: Vec<ClusterWatch>,
     /// Scratch: per-core granted sums.
     grants: Vec<f64>,
+    /// Scratch: per-cluster supply per core.
+    supplies: Vec<f64>,
 }
 
 impl Auditor {
@@ -236,8 +238,16 @@ impl Auditor {
         if let Some(detail) = bad_affinity {
             self.report("affinity", detail);
         }
-        for core in 0..n_cores {
-            let supply = chip.core_supply(chip.cores()[core].id()).value();
+        // Resolve each cluster's supply once; every core reads its own
+        // cluster's entry, in ascending core id.
+        self.supplies.clear();
+        self.supplies.extend(
+            chip.clusters()
+                .iter()
+                .map(|cl| cl.supply_per_core().value()),
+        );
+        for (core, desc) in chip.cores().iter().enumerate() {
+            let supply = self.supplies[desc.cluster().0];
             let granted = self.grants[core];
             if granted > supply * (1.0 + 1e-9) + Self::EPS {
                 self.report(

@@ -58,11 +58,16 @@ struct TaskEntry {
 struct StepScratch {
     /// Per-cluster true (noise-free) power for the quantum.
     power: Vec<Watts>,
-    /// Runnable task ids on the core being processed.
-    ids: Vec<TaskId>,
-    /// Their allocation claims, index-aligned with `ids`.
+    /// Every runnable task id, bucketed by core: core `c`'s tasks are
+    /// `by_core[start[c]..start[c + 1]]`, in ascending id.
+    by_core: Vec<TaskId>,
+    /// Per-core bucket offsets into `by_core` (one entry per core, plus
+    /// the end).
+    start: Vec<usize>,
+    /// Allocation claims of the core being processed, index-aligned with
+    /// its bucket.
     claims: Vec<Claimant>,
-    /// Their grants, index-aligned with `ids`.
+    /// Their grants, index-aligned with the bucket.
     grants: Vec<ProcessingUnits>,
     /// Per-core utilizations of the cluster being processed.
     utils: Vec<f64>,
@@ -303,19 +308,8 @@ impl System {
             .collect()
     }
 
-    /// Tasks mapped to any core of `cluster` (`T_v`).
-    pub fn tasks_on_cluster(&self, cluster: ClusterId) -> Vec<TaskId> {
-        let cores = self.chip.cores_of(cluster).to_vec();
-        self.entries
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.active && cores.contains(&e.core))
-            .map(|(i, _)| TaskId(i))
-            .collect()
-    }
-
-    /// Whether any active task is mapped to a core of `cluster`, without
-    /// materialising the task list (hot-path form of `tasks_on_cluster`).
+    /// Whether any active task is mapped to a core of `cluster` (`T_v` is
+    /// non-empty).
     pub fn cluster_has_tasks(&self, cluster: ClusterId) -> bool {
         self.entries
             .iter()
@@ -443,6 +437,37 @@ impl System {
         self.metrics
     }
 
+    /// Bucket every runnable task (active, not stalled) by core with one
+    /// stable counting sort, so the step visits each task entry a fixed
+    /// number of times instead of once per core. Within a bucket the ids
+    /// stay ascending, the order a per-core filter over the entries
+    /// produces, so every per-core sum accumulates in the same order.
+    fn bucket_runnable(&mut self) {
+        let now = self.now;
+        let runnable = |e: &TaskEntry| e.active && e.stalled_until <= now;
+        let StepScratch { by_core, start, .. } = &mut self.scratch;
+        // Count core c's tasks into start[c + 2]. After the prefix sum,
+        // start[c + 1] is core c's first offset; the fill advances it to
+        // core c's end, which is core c + 1's first offset. Dropping the
+        // spare last entry leaves core c's bucket at start[c]..start[c + 1].
+        start.clear();
+        start.resize(self.chip.cores().len() + 2, 0);
+        for e in self.entries.iter().filter(|e| runnable(e)) {
+            start[e.core.0 + 2] += 1;
+        }
+        for c in 2..start.len() {
+            start[c] += start[c - 1];
+        }
+        by_core.clear();
+        by_core.resize(start[start.len() - 1], TaskId(0));
+        for (i, e) in self.entries.iter().enumerate().filter(|(_, e)| runnable(e)) {
+            let slot = &mut start[e.core.0 + 1];
+            by_core[*slot] = TaskId(i);
+            *slot += 1;
+        }
+        start.pop();
+    }
+
     /// Advance the world by one quantum `dt`: complete DVFS transitions,
     /// allocate each core's supply, execute tasks, integrate power, account
     /// metrics. `record` controls whether QoS/power metrics accumulate
@@ -470,35 +495,42 @@ impl System {
         let n_clusters = self.chip.clusters().len();
         self.scratch.power.clear();
         self.scratch.power.resize(n_clusters, Watts::ZERO);
+        self.bucket_runnable();
         for ci in 0..n_clusters {
             let cluster_id = ClusterId(ci);
-            let class = self.chip.cluster(cluster_id).class();
-            let supply = self.chip.cluster(cluster_id).supply_per_core();
+            let cluster = self.chip.cluster(cluster_id);
+            let class = cluster.class();
+            let supply = cluster.supply_per_core();
+            // Energy attribution: dynamic watts follow consumption
+            // (C_dyn·V² per PU consumed); the cluster's static power is
+            // split equally among its resident tasks after the cluster
+            // power is known.
+            let point = cluster.point();
+            let watts_per_pu =
+                self.chip.power_model().params(class).dynamic_coeff * point.voltage.volts().powi(2);
             self.scratch.utils.clear();
             let mut cluster_dynamic = 0.0_f64;
             self.scratch.cluster_tasks.clear();
-            let cores = self.chip.cores_of(cluster_id);
-            for &core in cores {
-                self.scratch.ids.clear();
-                self.scratch.ids.extend(
-                    self.entries
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, e)| e.core == core && e.active && e.stalled_until <= now)
-                        .map(|(i, _)| TaskId(i)),
-                );
+            for &core in self.chip.cores_of(cluster_id) {
+                let bucket = self.scratch.start[core.0]..self.scratch.start[core.0 + 1];
+                if bucket.is_empty() {
+                    // No runnable task: nothing is granted, so the
+                    // utilization is +0.0 whatever the supply.
+                    self.core_utilization[core.0] = 0.0;
+                    self.scratch.utils.push(0.0);
+                    continue;
+                }
+                let ids = &self.scratch.by_core[bucket];
                 self.scratch.claims.clear();
-                self.scratch
-                    .claims
-                    .extend(self.scratch.ids.iter().map(|&id| {
-                        let e = &self.entries[id.0];
-                        Claimant {
-                            task: id,
-                            weight: e.nice.weight(),
-                            share: e.share,
-                            cap: e.task.consumption_cap(class, supply),
-                        }
-                    }));
+                self.scratch.claims.extend(ids.iter().map(|&id| {
+                    let e = &self.entries[id.0];
+                    Claimant {
+                        task: id,
+                        weight: e.nice.weight(),
+                        share: e.share,
+                        cap: e.task.consumption_cap(class, supply),
+                    }
+                }));
                 match self.policy {
                     AllocationPolicy::Market => {
                         market_allocate_into(supply, &self.scratch.claims, &mut self.scratch.grants)
@@ -511,16 +543,7 @@ impl System {
                     ),
                 }
                 let mut used = ProcessingUnits::ZERO;
-                // Energy attribution: dynamic watts follow consumption
-                // (C_dyn·V² per PU consumed); the cluster's static power is
-                // split equally among its resident tasks after the cluster
-                // power is known.
-                let point = self.chip.cluster(cluster_id).point();
-                let watts_per_pu = self.chip.power_model().params(class).dynamic_coeff
-                    * point.voltage.volts().powi(2);
-                for k in 0..self.scratch.ids.len() {
-                    let id = self.scratch.ids[k];
-                    let grant = self.scratch.grants[k];
+                for (&id, &grant) in ids.iter().zip(&self.scratch.grants) {
                     let e = &mut self.entries[id.0];
                     e.granted = grant;
                     e.task.execute(grant.cycles_over(dt), class, end);

@@ -28,6 +28,10 @@ PPM_FAULT_SEED=165 cargo test -q --release --test fault_injection
 cargo run --release --quiet -p ppm --bin ppm-sim -- \
   --scheme ppm --workload l1 --duration 20 --faults 165 --audit > /dev/null
 
+echo ">>> step oracle (second pinned seed 1303: platform step == naive per-core oracle)"
+PROPTEST_SEED=1303 cargo test -q --release --test substrate_properties \
+  step_matches_naive_per_core_oracle
+
 echo ">>> bench_sweep --check (parallel sweep == serial, bit-for-bit)"
 cargo run --release --quiet -p ppm-bench --bin bench_sweep -- --check
 

@@ -1,18 +1,19 @@
 //! Property-based tests on the substrate invariants: allocation, heartbeat
-//! accounting, V-F tables, PELT, the LBT estimator, and exact snapshot
-//! capture.
+//! accounting, V-F tables, PELT, the LBT estimator, exact snapshot
+//! capture, and the platform step against a naive per-core oracle.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 use ppm::core::lbt::{constrained_core_scan, RemoteCluster, TaskSnapshot};
-use ppm::platform::chip::Chip;
+use ppm::platform::chip::{synthetic_chip, Chip};
 use ppm::platform::cluster::ClusterId;
 use ppm::platform::core::{CoreClass, CoreId};
 use ppm::platform::thermal::{Celsius, ThermalModel};
 use ppm::platform::units::{MegaHertz, Money, Price, ProcessingUnits, SimDuration, SimTime, Watts};
 use ppm::platform::vf::linear_table;
 use ppm::sched::runqueue::{fair_allocate, market_allocate, Claimant};
-use ppm::sched::{AllocationPolicy, NullManager, PeltTracker, Simulation, SystemSnapshot};
+use ppm::sched::{AllocationPolicy, Nice, NullManager, PeltTracker, Simulation, SystemSnapshot};
 use ppm::workload::arrivals::ArrivalKind;
 use ppm::workload::benchmarks::{Benchmark, BenchmarkSpec, Input};
 use ppm::workload::perclass::PerClass;
@@ -299,6 +300,180 @@ proptest! {
                 snap.dynamic_refreshes() - refreshes,
                 u64::from(before != dynamic(&fresh))
             );
+        }
+    }
+}
+
+/// Benchmark variants the step oracle draws its tasks from.
+const STEP_ORACLE_VARIANTS: [(Benchmark, Input); 6] = [
+    (Benchmark::Blackscholes, Input::Large),
+    (Benchmark::Swaptions, Input::Large),
+    (Benchmark::Texture, Input::Vga),
+    (Benchmark::X264, Input::Native),
+    (Benchmark::Bodytrack, Input::Native),
+    (Benchmark::Tracking, Input::Vga),
+];
+
+/// The grant each runnable task should receive in the coming quantum,
+/// recomputed core by core from the public surface with the policy's
+/// allocator. Valid while nothing changes a cluster's V-F state before the
+/// step (the oracle's manager plans nothing), so each core's supply holds.
+fn predict_grants(sys: &ppm::sched::System) -> Vec<(TaskId, ProcessingUnits)> {
+    let chip = sys.chip();
+    let mut predicted = Vec::new();
+    for desc in chip.cores() {
+        let core = desc.id();
+        let class = chip.cluster_of(core).class();
+        let supply = chip.core_supply(core);
+        let ids: Vec<TaskId> = sys
+            .tasks_on(core)
+            .into_iter()
+            .filter(|&id| !sys.is_stalled(id))
+            .collect();
+        let claims: Vec<Claimant> = ids
+            .iter()
+            .map(|&id| Claimant {
+                task: id,
+                weight: sys.nice_of(id).weight(),
+                share: sys.share_of(id),
+                cap: sys.task(id).consumption_cap(class, supply),
+            })
+            .collect();
+        let grants = match sys.policy() {
+            AllocationPolicy::Market => market_allocate(supply, &claims),
+            AllocationPolicy::FairWeights => fair_allocate(supply, &claims),
+        };
+        predicted.extend(ids.into_iter().zip(grants));
+    }
+    predicted
+}
+
+/// The step's results recomputed naively from the public surface: every
+/// runnable task holds exactly its predicted grant, each core's utilization
+/// is Σ granted over its tasks that are not stalled, in ascending id, over
+/// the core's supply, clamped (a zero supply reads +0.0), and no stalled or
+/// removed task holds a grant.
+fn check_step_against_oracle(
+    sys: &ppm::sched::System,
+    predicted: &[(TaskId, ProcessingUnits)],
+) -> Result<(), TestCaseError> {
+    for &(id, grant) in predicted {
+        prop_assert_eq!(
+            sys.granted(id).value().to_bits(),
+            grant.value().to_bits(),
+            "task {} granted {}, oracle {}",
+            id.0,
+            sys.granted(id),
+            grant
+        );
+    }
+    let chip = sys.chip();
+    for desc in chip.cores() {
+        let core = desc.id();
+        let mut used = ProcessingUnits::ZERO;
+        for id in sys.tasks_on(core) {
+            if !sys.is_stalled(id) {
+                used += sys.granted(id);
+            }
+        }
+        let supply = chip.core_supply(core);
+        let expected = if supply.is_positive() {
+            (used / supply).clamp(0.0, 1.0)
+        } else {
+            0.0
+        };
+        prop_assert_eq!(
+            sys.core_utilization(core).to_bits(),
+            expected.to_bits(),
+            "core {}: step says {}, oracle {}",
+            core.0,
+            sys.core_utilization(core),
+            expected
+        );
+    }
+    for i in 0..sys.task_count() {
+        let id = TaskId(i);
+        if !sys.is_active(id) || sys.is_stalled(id) {
+            prop_assert_eq!(
+                sys.granted(id).value().to_bits(),
+                ProcessingUnits::ZERO.value().to_bits(),
+                "task {} is stalled or removed but holds {}",
+                i,
+                sys.granted(id)
+            );
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The platform step matches a naive per-core oracle (grants and
+    /// utilizations, bit for bit) after every quantum on synthetic chips whose tasks crowd a few cores (most cores
+    /// empty), under both allocation policies, while shares, nice values,
+    /// placements (with their migration stalls), task exits and cluster
+    /// gating change between quanta.
+    #[test]
+    fn step_matches_naive_per_core_oracle(
+        v in 1usize..6,
+        c in 1usize..8,
+        fair in proptest::bool::ANY,
+        hot in proptest::collection::vec(0usize..64, 1..4),
+        tasks in proptest::collection::vec((0usize..6, 0.0f64..600.0), 1..12),
+        quanta in proptest::collection::vec(
+            proptest::collection::vec((0u8..6, 0usize..64, 0usize..64, 0.0f64..600.0), 0..4),
+            1..24,
+        ),
+    ) {
+        let chip = synthetic_chip(v, c);
+        let n_cores = chip.cores().len();
+        let hot: Vec<CoreId> = hot.iter().map(|&h| CoreId(h % n_cores)).collect();
+        let policy = if fair {
+            AllocationPolicy::FairWeights
+        } else {
+            AllocationPolicy::Market
+        };
+        let mut sys = ppm::sched::System::new(chip, policy);
+        for (i, &(variant, share)) in tasks.iter().enumerate() {
+            let (b, input) = STEP_ORACLE_VARIANTS[variant];
+            let spec = BenchmarkSpec::of(b, input).expect("variant");
+            sys.add_task(Task::new(TaskId(i), spec, Priority(1)), hot[i % hot.len()]);
+            sys.set_share(TaskId(i), ProcessingUnits(share));
+        }
+        let mut sim = Simulation::new(sys, NullManager);
+        for ops in quanta {
+            let sys = sim.system_mut();
+            for (op, a, b, val) in ops {
+                let active: Vec<TaskId> = sys.task_iter().collect();
+                let cluster = ClusterId(a % v);
+                match op {
+                    0 if !active.is_empty() => {
+                        sys.set_share(active[a % active.len()], ProcessingUnits(val));
+                    }
+                    1 if !active.is_empty() => {
+                        let nice = Nice::new((b % 40) as i8 - 20);
+                        sys.set_nice(active[a % active.len()], nice);
+                    }
+                    2 if !active.is_empty() => {
+                        // Half the moves stay among the crowded cores.
+                        let to = if b % 2 == 0 {
+                            hot[b / 2 % hot.len()]
+                        } else {
+                            CoreId(b % n_cores)
+                        };
+                        sys.migrate(active[a % active.len()], to);
+                    }
+                    3 if !active.is_empty() => sys.remove_task(active[a % active.len()]),
+                    4 => sys.power_off(cluster),
+                    5 => sys.power_on(cluster),
+                    _ => {}
+                }
+            }
+            let predicted = predict_grants(sim.system());
+            let quantum = sim.quantum();
+            sim.run_for(quantum);
+            check_step_against_oracle(sim.system(), &predicted)?;
         }
     }
 }
