@@ -16,31 +16,25 @@
 //!   churn: every round pays the diff and recomputes in full.
 //!
 //! Run with `cargo run --release -p ppm-bench --bin bench_market
-//! [--workers N] [out.json]`. `--workers N` times sharded rounds on an
-//! `N`-worker pool (DESIGN.md §13); the default 1 times the serial path.
-//! The JSON records `host_cores` and `workers` so a record taken on an
-//! oversubscribed box (workers > host cores) reads as what it is.
+//! [out.json]`. Rounds run on one thread; the JSON records the host's
+//! `host_cores` so a record reads against the machine that took it.
 //!
 //! `--check [quick]` runs no timing: it replays stable/churn interleavings
 //! on every grid cell (`quick` stops at V64) through an incremental and an
 //! always-full market side by side and asserts the decisions are
-//! bit-identical (`Debug` rendering distinguishes `-0.0` and `NaN`), and
-//! runs the same interleaving through sharded markets at several worker
-//! counts (1/2/4 plus `--workers`), asserting each matches the serial
-//! decisions round for round. Cells whose dynamics settle into a replayable
+//! bit-identical (`Debug` rendering distinguishes `-0.0` and `NaN`).
+//! Cells whose dynamics settle into a replayable
 //! cycle additionally assert that the fast path engages; the cells marked
 //! `None` below never do — their bid dynamics stay quasi-periodic at the
 //! ULP level with no finite cycle (measured out to 20 000 stable rounds),
 //! so every round is legitimately a full recompute there.
 
 use std::fmt::Write as _;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ppm_bench::sweep::default_threads;
 use ppm_core::config::PpmConfig;
 use ppm_core::market::{ClusterObs, CoreObs, Market, MarketDecision, MarketObs, TaskObs};
-use ppm_core::WorkerPool;
 use ppm_platform::cluster::ClusterId;
 use ppm_platform::core::CoreId;
 use ppm_platform::units::{ProcessingUnits, Watts};
@@ -142,19 +136,9 @@ struct ModeBench {
 }
 
 impl ModeBench {
-    fn new(
-        v: usize,
-        c: usize,
-        t: usize,
-        incremental: bool,
-        churn: bool,
-        workers: usize,
-    ) -> ModeBench {
+    fn new(v: usize, c: usize, t: usize, incremental: bool, churn: bool) -> ModeBench {
         let mut market = Market::new(PpmConfig::tc2());
         market.set_incremental(incremental);
-        if workers > 1 {
-            market.attach_pool(Arc::new(WorkerPool::new(workers - 1)));
-        }
         ModeBench {
             snapshot: obs(v, c, t),
             market,
@@ -214,16 +198,16 @@ struct Sample {
     inc_churn: f64,
 }
 
-fn bench_point(v: usize, c: usize, t: usize, workers: usize) -> Sample {
+fn bench_point(v: usize, c: usize, t: usize) -> Sample {
     // All four modes warm once, then reps interleave round-robin so slow
     // timing drift (frequency scaling, co-tenant load) lands on every
     // column equally instead of skewing whichever mode happened to run
     // last — the recorded *ratios* are what future changes compare against.
     let mut modes = [
-        ModeBench::new(v, c, t, false, false, workers),
-        ModeBench::new(v, c, t, false, true, workers),
-        ModeBench::new(v, c, t, true, false, workers),
-        ModeBench::new(v, c, t, true, true, workers),
+        ModeBench::new(v, c, t, false, false),
+        ModeBench::new(v, c, t, false, true),
+        ModeBench::new(v, c, t, true, false),
+        ModeBench::new(v, c, t, true, true),
     ];
     for m in &mut modes {
         m.warm();
@@ -249,28 +233,16 @@ fn bench_point(v: usize, c: usize, t: usize, workers: usize) -> Sample {
 
 /// Replay a stable → churn-burst → stable interleaving through an
 /// incremental and an always-full market and assert bit-identity per round.
-/// The same interleaving also runs through sharded markets (incremental
-/// left on, so sharding composes with the fast path) at every count in
-/// `worker_counts`, each asserted against the serial decisions round for
-/// round. When the cell is known to converge (`fast_horizon`), keep running
+/// When the cell is known to converge (`fast_horizon`), keep running
 /// stable rounds (still asserting bit-identity) until the fast path engages.
-fn check_cell(v: usize, c: usize, t: usize, fast_horizon: Option<u64>, worker_counts: &[usize]) {
+fn check_cell(v: usize, c: usize, t: usize, fast_horizon: Option<u64>) {
     let mut snapshot = obs(v, c, t);
     let mut inc = Market::new(PpmConfig::tc2());
     assert!(inc.incremental(), "incremental mode must be the default");
     let mut full = Market::new(PpmConfig::tc2());
     full.set_incremental(false);
-    let mut sharded: Vec<Market> = worker_counts
-        .iter()
-        .map(|&w| {
-            let mut m = Market::new(PpmConfig::tc2());
-            m.attach_pool(Arc::new(WorkerPool::new(w - 1)));
-            m
-        })
-        .collect();
     let mut out_inc = MarketDecision::default();
     let mut out_full = MarketDecision::default();
-    let mut out_sharded = MarketDecision::default();
     let mut lockstep = |inc: &mut Market, snapshot: &MarketObs, round: u64| {
         inc.round_into(snapshot, &mut out_inc);
         full.round_into(snapshot, &mut out_full);
@@ -280,14 +252,6 @@ fn check_cell(v: usize, c: usize, t: usize, fast_horizon: Option<u64>, worker_co
             a, b,
             "V{v} C{c} T{t} round {round}: incremental decision diverged from full recompute"
         );
-        for (m, &w) in sharded.iter_mut().zip(worker_counts) {
-            m.round_into(snapshot, &mut out_sharded);
-            let s = format!("{out_sharded:?}");
-            assert_eq!(
-                s, b,
-                "V{v} C{c} T{t} round {round}: {w}-worker sharded decision diverged from serial"
-            );
-        }
     };
     for round in 0..96u64 {
         // Stable prefix, a churn burst, then stable again.
@@ -308,31 +272,22 @@ fn check_cell(v: usize, c: usize, t: usize, fast_horizon: Option<u64>, worker_co
         );
     }
     println!(
-        "  V{:<4} C{:<3} T{:<5} ok ({} fast-path, {} full rounds; workers {:?})",
+        "  V{:<4} C{:<3} T{:<5} ok ({} fast-path, {} full rounds)",
         v,
         c,
         t,
         inc.fast_path_hits(),
-        inc.full_recomputes(),
-        worker_counts
+        inc.full_recomputes()
     );
 }
 
-fn run_check(quick: bool, workers: usize) {
-    let mut counts = vec![1, 2, 4];
-    if !counts.contains(&workers) {
-        counts.push(workers);
-        counts.sort_unstable();
-    }
-    println!(
-        "bench_market --check: incremental vs full vs sharded (workers {counts:?}), \
-         per-round bit-identity"
-    );
+fn run_check(quick: bool) {
+    println!("bench_market --check: incremental vs full, per-round bit-identity");
     for &(v, c, t, fast_horizon) in &GRID {
         if quick && v > 64 {
             continue;
         }
-        check_cell(v, c, t, fast_horizon, &counts);
+        check_cell(v, c, t, fast_horizon);
     }
     println!("bench_market --check: all cells bit-identical");
 }
@@ -340,42 +295,27 @@ fn run_check(quick: bool, workers: usize) {
 fn main() {
     let mut check = false;
     let mut quick = false;
-    let mut workers: usize = 1;
     let mut out_path = "BENCH_market.json".to_string();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--check" => check = true,
             "quick" => quick = true,
-            "--workers" => {
-                workers = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&w| w >= 1)
-                    .expect("--workers needs an integer >= 1");
-            }
             other => out_path = other.to_string(),
         }
     }
-    let host_cores = default_threads();
-    if workers > host_cores {
-        eprintln!(
-            "warning: --workers {workers} exceeds {host_cores} host core(s); \
-             sharded rounds will oversubscribe and timings mostly measure scheduling"
-        );
-    }
     if check {
-        run_check(quick, workers);
+        run_check(quick);
         return;
     }
+    let host_cores = default_threads();
     let mut samples = Vec::new();
-    println!("market round timings, {workers} worker(s), {host_cores} host core(s)");
+    println!("market round timings, {host_cores} host core(s)");
     println!(
         "{:<18} {:>8} {:>12} {:>12} {:>12} {:>12} {:>8}",
         "grid", "tasks", "full ns", "churn ns", "inc ns", "inc-churn", "speedup"
     );
     for &(v, c, t, _) in &GRID {
-        let s = bench_point(v, c, t, workers);
+        let s = bench_point(v, c, t);
         println!(
             "V{:<4} C{:<3} T{:<5} {:>8} {:>12.0} {:>12.0} {:>12.0} {:>12.0} {:>7.1}x",
             s.v,
@@ -396,7 +336,6 @@ fn main() {
         "{\n  \"bench\": \"market_round\",\n  \"unit\": \"ns_per_round\",\n  \"stat\": \"median_of_5_reps\",\n",
     );
     let _ = writeln!(json, "  \"host_cores\": {host_cores},");
-    let _ = writeln!(json, "  \"workers\": {workers},");
     json.push_str("  \"grid\": [\n");
     for (i, s) in samples.iter().enumerate() {
         let _ = writeln!(

@@ -35,7 +35,6 @@ use crate::lbt::{
     LbtSnapshot, Move, TaskSnapshot,
 };
 use crate::market::{ClusterObs, CoreObs, Market, MarketDecision, MarketObs, TaskObs, VfStep};
-use crate::pool::WorkerPool;
 use crate::state::PowerState;
 
 /// An outstanding DVFS request being tracked until the regulator confirms
@@ -131,18 +130,9 @@ impl PpmManager {
     ///
     /// Panics if the configuration is invalid.
     pub fn new(config: PpmConfig) -> PpmManager {
-        let mut market = Market::new(config.clone());
-        if config.market_workers > 1 {
-            // One pool for the manager's lifetime: `market_workers` shards
-            // total, of which the planning thread runs one itself
-            // (DESIGN.md §13).
-            market.attach_pool(std::sync::Arc::new(WorkerPool::new(
-                config.market_workers - 1,
-            )));
-        }
         PpmManager {
+            market: Market::new(config.clone()),
             config,
-            market,
             next_round: SimTime::ZERO,
             rounds_since_lb: 0,
             lbs_since_migration: 0,
@@ -731,7 +721,6 @@ impl PowerManager for PpmManager {
             out.market_fast_hit = f64::from(u8::from(self.market.last_round_fast()));
             out.market_dirty_stages = f64::from(self.market.last_round_dirty_sections());
         }
-        out.market_workers = self.market.workers() as f64;
     }
 
     fn degradation(&self) -> Degradation {

@@ -23,7 +23,6 @@
 //! order can leak into results.
 
 use std::fmt;
-use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use ppm_obs::{lap, Phase, PhaseProfiler};
@@ -34,7 +33,6 @@ use ppm_workload::task::TaskId;
 
 use crate::agents::{chip_agent, cluster_agent, task_agent};
 use crate::config::PpmConfig;
-use crate::pool::WorkerPool;
 use crate::state::{allowance_delta, PowerState};
 
 /// Sentinel for "no slot" in the dense index arenas.
@@ -268,31 +266,6 @@ struct RoundScratch {
     cl_reacting: Vec<bool>,
     cl_constrained: Vec<u32>,
     cl_constr_demand: Vec<ProcessingUnits>,
-
-    // Sharded-round traversal structures (DESIGN.md §13), built only while
-    // a worker pool is attached. Their validity rides the stage-skip logic
-    // exactly like the maps they derive from: the cluster→core CSR is
-    // rebuilt with stage A, the core→task CSR with stage B.
-    /// Cluster slot → offset into `cl_core_list` (CSR, `nclusters + 1`).
-    cl_core_off: Vec<u32>,
-    /// Core slots grouped by cluster slot, ascending within each group.
-    cl_core_list: Vec<u32>,
-    /// Core slot → offset into `core_task_list` (CSR, `ncores + 1`).
-    core_task_off: Vec<u32>,
-    /// Task indices grouped by core slot, in observation order within each
-    /// group — so per-core f64 bid accumulation matches the serial path.
-    core_task_list: Vec<u32>,
-    /// Cursor scratch for the CSR fills.
-    csr_cursor: Vec<u32>,
-    /// Stage A saw the same raw cluster id twice: the serial path resolves
-    /// the collision sequentially, shards cannot — sharding stands down.
-    /// Persists across stage-A skips (only stage A rewrites it).
-    dup_clusters: bool,
-    /// Epoch counter for the sharded prepass's duplicate-task detection.
-    /// Independent of `epoch`, which only advances when stage A runs.
-    prepass_epoch: u32,
-    /// Raw task id → prepass epoch it was last seen in.
-    task_seen_epoch: Vec<u32>,
 }
 
 impl RoundScratch {
@@ -305,235 +278,6 @@ impl RoundScratch {
             self.epoch = 1;
         } else {
             self.epoch += 1;
-        }
-    }
-
-    fn next_prepass_epoch(&mut self) {
-        if self.prepass_epoch == u32::MAX {
-            self.task_seen_epoch.fill(0);
-            self.prepass_epoch = 1;
-        } else {
-            self.prepass_epoch += 1;
-        }
-    }
-}
-
-/// One cluster's buffered outcome from a shard: the updated agent, the
-/// requested step, and the aggregates the serial chip-agent stage reads.
-#[derive(Debug, Clone, Copy)]
-struct ClusterOut {
-    /// Dense cluster slot.
-    vs: u32,
-    agent: ClusterAgent,
-    step: Option<VfStep>,
-    reacting: bool,
-    constrained: u32,
-    constr_demand: ProcessingUnits,
-}
-
-/// Per-shard output buffers. Each worker owns exactly one, so the parallel
-/// region shares no mutable state; the merge drains them in shard order.
-/// All vectors keep their capacity between rounds (zero-alloc once warm).
-#[derive(Debug, Default)]
-struct ShardScratch {
-    prices: Vec<(CoreId, Price)>,
-    shares: Vec<(TaskId, ProcessingUnits)>,
-    tasks: Vec<TaskRound>,
-    /// `(agent slot, new state)` — applied to the arena at merge.
-    agents: Vec<(u32, TaskAgent)>,
-    clusters: Vec<ClusterOut>,
-    /// `(allowance, bid)` of the current core's tasks, between the bid
-    /// pass and the purchase pass.
-    core_tmp: Vec<(Money, Money)>,
-}
-
-/// Everything a shard job reads: the observation, the serial stages'
-/// scratch, and the **previous round's** agent arenas. Shards never write
-/// any of it — the serial path defers exactly the same writes (task agents
-/// mutate after bidding, cluster agents after price discovery, `state`
-/// after the cluster loop), so reading the old state is what the serial
-/// path computes with too.
-struct ShardCtx<'a> {
-    obs: &'a MarketObs,
-    s: &'a RoundScratch,
-    task_agents: &'a [TaskAgent],
-    cluster_agents: &'a [ClusterAgent],
-    config: &'a PpmConfig,
-    initial_bid: Money,
-    emergency: bool,
-}
-
-/// Run the post-placement market stages for cluster slots `c0..c1`:
-/// per-task bidding (Eq. 1), per-core price discovery and purchases, the
-/// constrained-core scan, and the cluster agent's §3.2.2 step decision.
-/// Every loop visits entities in the same order as the serial path (cores
-/// ascending within the cluster, tasks in observation order within the
-/// core), so every f64 accumulation is bit-identical to it.
-fn run_shard(ctx: &ShardCtx<'_>, c0: usize, c1: usize, out: &mut ShardScratch) {
-    out.prices.clear();
-    out.shares.clear();
-    out.tasks.clear();
-    out.agents.clear();
-    out.clusters.clear();
-    let s = ctx.s;
-    let obs = ctx.obs;
-    for vs in c0..c1 {
-        if s.cl_tasks[vs] == 0 {
-            continue;
-        }
-        let cl = &obs.clusters[vs];
-        let frozen = ctx.cluster_agents[cl.id.0].frozen;
-        let mass = s.cl_priority[vs];
-        let mut constrained = SLOT_NONE;
-        let mut constr_demand = ProcessingUnits::ZERO;
-        let mut constr_price = Price::ZERO;
-        let cores = &s.cl_core_list[s.cl_core_off[vs] as usize..s.cl_core_off[vs + 1] as usize];
-        for &cs32 in cores {
-            let cs = cs32 as usize;
-            if s.core_tasks[cs] == 0 {
-                continue;
-            }
-            let tasks =
-                &s.core_task_list[s.core_task_off[cs] as usize..s.core_task_off[cs + 1] as usize];
-            // Bid pass: allowances and bids (Eq. 1), accumulated per core.
-            out.core_tmp.clear();
-            let mut core_bid = Money::ZERO;
-            for &ti32 in tasks {
-                let ti = ti32 as usize;
-                let t = &obs.tasks[ti];
-                let a = if mass > 0 {
-                    s.cl_allow[vs] * (t.priority as f64 / mass as f64)
-                } else {
-                    Money::ZERO
-                };
-                let agent = &ctx.task_agents[s.t_agent[ti] as usize];
-                let cap = a + agent.savings;
-                let bid = if !agent.seen {
-                    ctx.initial_bid
-                        .clamp(ctx.config.min_bid, cap.max(ctx.config.min_bid))
-                } else if frozen {
-                    agent.bid
-                } else {
-                    task_agent::next_bid(
-                        agent.bid,
-                        agent.prev_demand,
-                        agent.prev_supply,
-                        agent.prev_price,
-                        cap,
-                        ctx.config.min_bid,
-                    )
-                };
-                core_bid += bid;
-                out.core_tmp.push((a, bid));
-            }
-            // Price discovery P_c = Σ b_t / S_c, then purchases.
-            let price = Price::discover(core_bid, cl.supply);
-            out.prices.push((obs.cores[cs].id, price));
-            for (j, &ti32) in tasks.iter().enumerate() {
-                let ti = ti32 as usize;
-                let t = &obs.tasks[ti];
-                let (a, bid) = out.core_tmp[j];
-                let share = price.purchase(bid);
-                out.shares.push((t.id, share));
-                let old = &ctx.task_agents[s.t_agent[ti] as usize];
-                let savings =
-                    task_agent::next_savings(old.savings, a, bid, ctx.config.savings_cap_factor);
-                out.agents.push((
-                    s.t_agent[ti],
-                    TaskAgent {
-                        bid,
-                        savings,
-                        prev_demand: t.demand,
-                        prev_supply: share,
-                        prev_price: price,
-                        seen: true,
-                    },
-                ));
-                out.tasks.push(TaskRound {
-                    id: t.id,
-                    allowance: a,
-                    bid,
-                    savings,
-                    supply: share,
-                    demand: t.demand,
-                });
-            }
-            // Constrained core: highest summed demand, ties towards the
-            // lowest core id — the serial scan's exact comparisons.
-            let d = s.core_demand[cs];
-            let replace = constrained == SLOT_NONE
-                || d > constr_demand
-                || (d == constr_demand && obs.cores[cs].id < obs.cores[constrained as usize].id);
-            if replace {
-                constrained = cs32;
-                constr_demand = d;
-                constr_price = price;
-            }
-        }
-        // Cluster agent (§3.2.2) on the shard's private copy of its state.
-        let mut agent = ctx.cluster_agents[cl.id.0];
-        let mut reacting = false;
-        let mut step = None;
-        if agent.frozen || !agent.has_base {
-            agent.base_price = constr_price;
-            agent.has_base = true;
-            agent.frozen = false;
-            agent.last_price = constr_price;
-            reacting = true;
-        } else {
-            if constr_price.value() > agent.last_price.value() * 1.02 {
-                reacting = true;
-            }
-            agent.last_price = constr_price;
-            step = cluster_agent::decide_step(cluster_agent::ClusterView {
-                price: constr_price,
-                base_price: agent.base_price,
-                tolerance: ctx.config.tolerance,
-                can_step_up: cl.supply_up.is_some(),
-                supply_down: cl.supply_down,
-                constrained_demand: constr_demand,
-                emergency: ctx.emergency,
-            });
-            if step.is_some() {
-                agent.frozen = true;
-            }
-        }
-        out.clusters.push(ClusterOut {
-            vs: vs as u32,
-            agent,
-            step,
-            reacting,
-            constrained,
-            constr_demand,
-        });
-    }
-}
-
-/// The market's attachment to a persistent [`WorkerPool`]: the shared pool
-/// and one output scratch per shard (slot `k` is owned by shard `k` during
-/// a dispatch; the merge drains them in slot order).
-struct Sharding {
-    pool: Arc<WorkerPool>,
-    shards: Vec<Mutex<ShardScratch>>,
-}
-
-impl fmt::Debug for Sharding {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Sharding")
-            .field("shards", &self.shards.len())
-            .finish()
-    }
-}
-
-impl Clone for Sharding {
-    fn clone(&self) -> Sharding {
-        // The pool is shared (threads are expensive); the scratch is
-        // per-market working memory, so the clone starts cold.
-        Sharding {
-            pool: Arc::clone(&self.pool),
-            shards: (0..self.shards.len())
-                .map(|_| Mutex::new(ShardScratch::default()))
-                .collect(),
         }
     }
 }
@@ -893,9 +637,6 @@ pub struct Market {
     initial_bid: Money,
     scratch: RoundScratch,
     incr: Incremental,
-    /// Persistent worker pool + per-shard scratch when the round is sharded
-    /// (DESIGN.md §13); `None` keeps every stage serial.
-    sharding: Option<Sharding>,
 }
 
 impl Market {
@@ -924,39 +665,7 @@ impl Market {
             initial_bid: Money(1.0),
             scratch: RoundScratch::default(),
             incr: Incremental::default(),
-            sharding: None,
         }
-    }
-
-    /// Attach a persistent worker pool: subsequent full rounds shard the
-    /// post-placement stages (bidding, price discovery, purchases, cluster
-    /// agents) across `pool.shards()` contiguous cluster ranges, with a
-    /// deterministic slot-order merge that keeps every decision and money
-    /// book bit-identical to the serial path (DESIGN.md §13). Fast-path
-    /// replays bypass the pool entirely, and rounds that cannot shard
-    /// soundly (a single cluster, duplicate ids in the observation) fall
-    /// back to the serial stages on their own.
-    pub fn attach_pool(&mut self, pool: Arc<WorkerPool>) {
-        let shards = (0..pool.shards())
-            .map(|_| Mutex::new(ShardScratch::default()))
-            .collect();
-        self.sharding = Some(Sharding { pool, shards });
-        // The sharded traversal CSRs ride the stage-skip logic; force the
-        // next round through stages A and B so they exist.
-        self.incr.invalidate();
-        self.incr.full_obs_valid = false;
-    }
-
-    /// Detach the worker pool; every stage runs serially again. (The pool
-    /// itself is only torn down when the last `Arc` drops.)
-    pub fn detach_pool(&mut self) {
-        self.sharding = None;
-    }
-
-    /// Threads a full round fans out over: pool shards when a pool is
-    /// attached (the dispatching thread runs one of them), else 1.
-    pub fn workers(&self) -> usize {
-        self.sharding.as_ref().map_or(1, |sh| sh.pool.shards())
     }
 
     /// Override the bid new task agents start with (defaults to $1).
@@ -1358,14 +1067,7 @@ impl Market {
         if !skip_topo {
             s.next_epoch();
             let epoch = s.epoch;
-            s.dup_clusters = false;
             for (vs, c) in obs.clusters.iter().enumerate() {
-                // A repeated raw cluster id makes two dense slots share one
-                // agent; the serial path handles them sequentially, shards
-                // cannot — remember the hazard so sharding stands down.
-                if map_get(&s.cluster_map_epoch, &s.cluster_map_slot, c.id.0, epoch) != SLOT_NONE {
-                    s.dup_clusters = true;
-                }
                 map_insert(
                     &mut s.cluster_map_epoch,
                     &mut s.cluster_map_slot,
@@ -1394,32 +1096,6 @@ impl Market {
                     c.cluster.0,
                     epoch,
                 );
-            }
-            // Cluster→core CSR for the sharded traversal (DESIGN.md §13).
-            if self.sharding.is_some() {
-                s.cl_core_off.clear();
-                s.cl_core_off.resize(nclusters + 1, 0);
-                for cs in 0..ncores {
-                    let vs = s.core_cluster[cs];
-                    if vs != SLOT_NONE {
-                        s.cl_core_off[vs as usize + 1] += 1;
-                    }
-                }
-                for v in 0..nclusters {
-                    s.cl_core_off[v + 1] += s.cl_core_off[v];
-                }
-                s.csr_cursor.clear();
-                s.csr_cursor.extend_from_slice(&s.cl_core_off[..nclusters]);
-                s.cl_core_list.clear();
-                s.cl_core_list.resize(s.cl_core_off[nclusters] as usize, 0);
-                for cs in 0..ncores {
-                    let vs = s.core_cluster[cs];
-                    if vs != SLOT_NONE {
-                        let cur = &mut s.csr_cursor[vs as usize];
-                        s.cl_core_list[*cur as usize] = cs as u32;
-                        *cur += 1;
-                    }
-                }
             }
         }
         let epoch = s.epoch;
@@ -1492,28 +1168,6 @@ impl Market {
             self.incr.total_priority = total_priority;
             self.incr.participating = participating;
             copy_vec(&mut self.incr.orphans, &out.orphans);
-            // Core→task CSR for the sharded traversal (DESIGN.md §13):
-            // counts are `core_tasks`, fill order is observation order, so
-            // each core's group replays the serial bid accumulation order.
-            if self.sharding.is_some() {
-                s.core_task_off.clear();
-                s.core_task_off.resize(ncores + 1, 0);
-                for cs in 0..ncores {
-                    s.core_task_off[cs + 1] = s.core_task_off[cs] + s.core_tasks[cs];
-                }
-                s.csr_cursor.clear();
-                s.csr_cursor.extend_from_slice(&s.core_task_off[..ncores]);
-                s.core_task_list.clear();
-                s.core_task_list.resize(participating, 0);
-                for ti in 0..ntasks {
-                    let cs = s.t_core[ti];
-                    if cs != SLOT_NONE {
-                        let cur = &mut s.csr_cursor[cs as usize];
-                        s.core_task_list[*cur as usize] = ti as u32;
-                        *cur += 1;
-                    }
-                }
-            }
         } else {
             out.orphans.extend_from_slice(&self.incr.orphans);
         }
@@ -1559,182 +1213,166 @@ impl Market {
         let allowance = *self.allowance.get_or_insert(Money(
             self.config.initial_allowance_per_priority * total_priority as f64,
         ));
-        {
-            let s = &mut self.scratch;
+        let s = &mut self.scratch;
 
-            // --- Hierarchical allowance distribution (§3.2.3): A -> A_v
-            // (inverse to cluster power) -> a_t (proportional to priority). ---
-            chip_agent::distribute_into(
-                allowance,
-                obs.chip_power.value(),
-                &s.cl_power,
-                &s.cl_priority,
-                &mut s.cl_allow,
+        // --- Hierarchical allowance distribution (§3.2.3): A -> A_v
+        // (inverse to cluster power) -> a_t (proportional to priority). ---
+        chip_agent::distribute_into(
+            allowance,
+            obs.chip_power.value(),
+            &s.cl_power,
+            &s.cl_priority,
+            &mut s.cl_allow,
+        );
+
+        // --- Task agents: allowances and bids (Eq. 1). ---
+        for (ti, t) in obs.tasks.iter().enumerate() {
+            let cs = s.t_core[ti];
+            if cs == SLOT_NONE {
+                continue;
+            }
+            let vs = s.t_cluster[ti] as usize;
+            // a_t = A_v · r_t / R_v (split_by_priority, inlined per task).
+            let mass = s.cl_priority[vs];
+            let a = if mass > 0 {
+                s.cl_allow[vs] * (t.priority as f64 / mass as f64)
+            } else {
+                Money::ZERO
+            };
+            s.t_allow[ti] = a;
+            let frozen = self.cluster_agents[obs.clusters[vs].id.0].frozen;
+            let slot = Self::ensure_agent(
+                &mut self.task_slots,
+                &mut self.task_agents,
+                &mut self.free_agents,
+                t.id,
+                t.demand,
             );
-        }
-
-        // --- Sharded post-placement stages (DESIGN.md §13): with a pool
-        // attached and a shardable round (two or more clusters, no
-        // duplicate ids in the observation — the prepass inside confirms
-        // the task side), bidding / price discovery / purchases / cluster
-        // agents fan out per cluster range and merge in slot order;
-        // otherwise the serial stages below run unchanged.
-        let mut sharded = false;
-        if self.sharding.is_some() && nclusters >= 2 && !self.scratch.dup_clusters {
-            sharded = self.sharded_stages(obs, out, prof.as_deref_mut(), &mut mark);
-        }
-        if !sharded {
-            let s = &mut self.scratch;
-            // --- Task agents: allowances and bids (Eq. 1). ---
-            for (ti, t) in obs.tasks.iter().enumerate() {
-                let cs = s.t_core[ti];
-                if cs == SLOT_NONE {
-                    continue;
-                }
-                let vs = s.t_cluster[ti] as usize;
-                // a_t = A_v · r_t / R_v (split_by_priority, inlined per task).
-                let mass = s.cl_priority[vs];
-                let a = if mass > 0 {
-                    s.cl_allow[vs] * (t.priority as f64 / mass as f64)
-                } else {
-                    Money::ZERO
-                };
-                s.t_allow[ti] = a;
-                let frozen = self.cluster_agents[obs.clusters[vs].id.0].frozen;
-                let slot = Self::ensure_agent(
-                    &mut self.task_slots,
-                    &mut self.task_agents,
-                    &mut self.free_agents,
-                    t.id,
-                    t.demand,
-                );
-                s.t_agent[ti] = slot;
-                let agent = &mut self.task_agents[slot as usize];
-                let cap = a + agent.savings;
-                let bid = if !agent.seen {
-                    agent.seen = true;
-                    self.initial_bid
-                        .clamp(self.config.min_bid, cap.max(self.config.min_bid))
-                } else if frozen {
-                    agent.bid
-                } else {
-                    task_agent::next_bid(
-                        agent.bid,
-                        agent.prev_demand,
-                        agent.prev_supply,
-                        agent.prev_price,
-                        cap,
-                        self.config.min_bid,
-                    )
-                };
-                agent.bid = bid;
-                s.t_bid[ti] = bid;
-                s.core_bids[cs as usize] += bid;
-            }
-            lap(prof.as_deref_mut(), &mut mark, Phase::MarketBid);
-
-            // --- Core agents: price discovery P_c = Σ b_t / S_c. ---
-            for cs in 0..ncores {
-                if s.core_tasks[cs] == 0 {
-                    continue;
-                }
-                let vs = s.core_cluster[cs] as usize;
-                let price = Price::discover(s.core_bids[cs], obs.clusters[vs].supply);
-                s.core_price[cs] = price;
-                out.prices.push((obs.cores[cs].id, price));
-            }
-            out.prices.sort_unstable_by_key(|(c, _)| *c);
-
-            // --- Purchases s_t = b_t / P_c, savings update, agent memory. ---
-            for (ti, t) in obs.tasks.iter().enumerate() {
-                let cs = s.t_core[ti];
-                if cs == SLOT_NONE {
-                    continue;
-                }
-                let price = s.core_price[cs as usize];
-                let share = price.purchase(s.t_bid[ti]);
-                out.shares.push((t.id, share));
-                let agent = &mut self.task_agents[s.t_agent[ti] as usize];
-                agent.savings = task_agent::next_savings(
-                    agent.savings,
-                    s.t_allow[ti],
+            s.t_agent[ti] = slot;
+            let agent = &mut self.task_agents[slot as usize];
+            let cap = a + agent.savings;
+            let bid = if !agent.seen {
+                agent.seen = true;
+                self.initial_bid
+                    .clamp(self.config.min_bid, cap.max(self.config.min_bid))
+            } else if frozen {
+                agent.bid
+            } else {
+                task_agent::next_bid(
                     agent.bid,
-                    self.config.savings_cap_factor,
-                );
-                agent.prev_demand = t.demand;
-                agent.prev_supply = share;
-                agent.prev_price = price;
-                out.tasks.push(TaskRound {
-                    id: t.id,
-                    allowance: s.t_allow[ti],
-                    bid: agent.bid,
-                    savings: agent.savings,
-                    supply: share,
-                    demand: t.demand,
-                });
-            }
-            out.shares.sort_unstable_by_key(|(t, _)| *t);
-            out.tasks.sort_unstable_by_key(|t| t.id);
-            lap(prof.as_deref_mut(), &mut mark, Phase::MarketPrice);
+                    agent.prev_demand,
+                    agent.prev_supply,
+                    agent.prev_price,
+                    cap,
+                    self.config.min_bid,
+                )
+            };
+            agent.bid = bid;
+            s.t_bid[ti] = bid;
+            s.core_bids[cs as usize] += bid;
+        }
+        lap(prof.as_deref_mut(), &mut mark, Phase::MarketBid);
 
-            // --- Constrained core per cluster: highest summed demand, ties
-            // broken towards the lowest core id. ---
-            for cs in 0..ncores {
-                if s.core_tasks[cs] == 0 {
-                    continue;
-                }
-                let vs = s.core_cluster[cs] as usize;
-                let d = s.core_demand[cs];
-                let best = s.cl_constrained[vs];
-                let replace = best == SLOT_NONE
-                    || d > s.cl_constr_demand[vs]
-                    || (d == s.cl_constr_demand[vs]
-                        && obs.cores[cs].id < obs.cores[best as usize].id);
-                if replace {
-                    s.cl_constrained[vs] = cs as u32;
-                    s.cl_constr_demand[vs] = d;
-                }
+        // --- Core agents: price discovery P_c = Σ b_t / S_c. ---
+        for cs in 0..ncores {
+            if s.core_tasks[cs] == 0 {
+                continue;
             }
+            let vs = s.core_cluster[cs] as usize;
+            let price = Price::discover(s.core_bids[cs], obs.clusters[vs].supply);
+            s.core_price[cs] = price;
+            out.prices.push((obs.cores[cs].id, price));
+        }
+        out.prices.sort_unstable_by_key(|(c, _)| *c);
 
-            // --- Cluster agents: inflation/deflation control (§3.2.2). ---
-            for (vs, c) in obs.clusters.iter().enumerate() {
-                if s.cl_tasks[vs] == 0 {
-                    continue;
-                }
-                let price = s.core_price[s.cl_constrained[vs] as usize];
-                let agent = &mut self.cluster_agents[c.id.0];
-                if agent.frozen || !agent.has_base {
-                    // First observation at the (possibly new) supply anchors
-                    // the base price; bids were held while switching.
-                    agent.base_price = price;
-                    agent.has_base = true;
-                    agent.frozen = false;
-                    agent.last_price = price;
-                    s.cl_reacting[vs] = true;
-                    continue;
-                }
-                // The market is reacting on its own while the price climbs:
-                // the chip agent holds the money supply meanwhile.
-                if price.value() > agent.last_price.value() * 1.02 {
-                    s.cl_reacting[vs] = true;
-                }
+        // --- Purchases s_t = b_t / P_c, savings update, agent memory. ---
+        for (ti, t) in obs.tasks.iter().enumerate() {
+            let cs = s.t_core[ti];
+            if cs == SLOT_NONE {
+                continue;
+            }
+            let price = s.core_price[cs as usize];
+            let share = price.purchase(s.t_bid[ti]);
+            out.shares.push((t.id, share));
+            let agent = &mut self.task_agents[s.t_agent[ti] as usize];
+            agent.savings = task_agent::next_savings(
+                agent.savings,
+                s.t_allow[ti],
+                agent.bid,
+                self.config.savings_cap_factor,
+            );
+            agent.prev_demand = t.demand;
+            agent.prev_supply = share;
+            agent.prev_price = price;
+            out.tasks.push(TaskRound {
+                id: t.id,
+                allowance: s.t_allow[ti],
+                bid: agent.bid,
+                savings: agent.savings,
+                supply: share,
+                demand: t.demand,
+            });
+        }
+        out.shares.sort_unstable_by_key(|(t, _)| *t);
+        out.tasks.sort_unstable_by_key(|t| t.id);
+        lap(prof.as_deref_mut(), &mut mark, Phase::MarketPrice);
+
+        // --- Constrained core per cluster: highest summed demand, ties
+        // broken towards the lowest core id. ---
+        for cs in 0..ncores {
+            if s.core_tasks[cs] == 0 {
+                continue;
+            }
+            let vs = s.core_cluster[cs] as usize;
+            let d = s.core_demand[cs];
+            let best = s.cl_constrained[vs];
+            let replace = best == SLOT_NONE
+                || d > s.cl_constr_demand[vs]
+                || (d == s.cl_constr_demand[vs] && obs.cores[cs].id < obs.cores[best as usize].id);
+            if replace {
+                s.cl_constrained[vs] = cs as u32;
+                s.cl_constr_demand[vs] = d;
+            }
+        }
+
+        // --- Cluster agents: inflation/deflation control (§3.2.2). ---
+        for (vs, c) in obs.clusters.iter().enumerate() {
+            if s.cl_tasks[vs] == 0 {
+                continue;
+            }
+            let price = s.core_price[s.cl_constrained[vs] as usize];
+            let agent = &mut self.cluster_agents[c.id.0];
+            if agent.frozen || !agent.has_base {
+                // First observation at the (possibly new) supply anchors
+                // the base price; bids were held while switching.
+                agent.base_price = price;
+                agent.has_base = true;
+                agent.frozen = false;
                 agent.last_price = price;
-                // The agent's step rule (see `agents::cluster_agent`): forced
-                // step-down in the emergency state, else the ±δ band around the
-                // base price with the §3.2.4 round-demand-up guard.
-                let step = cluster_agent::decide_step(cluster_agent::ClusterView {
-                    price,
-                    base_price: agent.base_price,
-                    tolerance: self.config.tolerance,
-                    can_step_up: c.supply_up.is_some(),
-                    supply_down: c.supply_down,
-                    constrained_demand: s.cl_constr_demand[vs],
-                    emergency: self.state == PowerState::Emergency,
-                });
-                if let Some(step) = step {
-                    out.dvfs.push((c.id, step));
-                    agent.frozen = true;
-                }
+                s.cl_reacting[vs] = true;
+                continue;
+            }
+            // The market is reacting on its own while the price climbs:
+            // the chip agent holds the money supply meanwhile.
+            if price.value() > agent.last_price.value() * 1.02 {
+                s.cl_reacting[vs] = true;
+            }
+            agent.last_price = price;
+            // The agent's step rule (see `agents::cluster_agent`): forced
+            // step-down in the emergency state, else the ±δ band around the
+            // base price with the §3.2.4 round-demand-up guard.
+            let step = cluster_agent::decide_step(cluster_agent::ClusterView {
+                price,
+                base_price: agent.base_price,
+                tolerance: self.config.tolerance,
+                can_step_up: c.supply_up.is_some(),
+                supply_down: c.supply_down,
+                constrained_demand: s.cl_constr_demand[vs],
+                emergency: self.state == PowerState::Emergency,
+            });
+            if let Some(step) = step {
+                out.dvfs.push((c.id, step));
+                agent.frozen = true;
             }
         }
         self.state = state;
@@ -1792,102 +1430,6 @@ impl Market {
         out.allowance = next_allowance;
         lap(prof, &mut mark, Phase::MarketDvfs);
         self.finish_full(obs, out, retain);
-    }
-
-    /// The pooled counterpart of the serial bid / price-discovery /
-    /// purchase / cluster-agent stages (DESIGN.md §13): a serial prepass
-    /// materialises agent slots in observation order (preserving the
-    /// free-list pop order of the serial path), then contiguous cluster
-    /// ranges fan out over the worker pool and the shard outputs merge in
-    /// slot order. Returns `false` — leaving the round to the serial
-    /// stages, which have not run yet — when the observation carries a
-    /// duplicate task id (two tasks sharing one agent must be handled
-    /// sequentially); the prepass work it did is idempotent.
-    fn sharded_stages(
-        &mut self,
-        obs: &MarketObs,
-        out: &mut MarketDecision,
-        mut prof: Option<&mut PhaseProfiler>,
-        mark: &mut Option<Instant>,
-    ) -> bool {
-        // --- Serial prepass: one agent slot per participating task. ---
-        let s = &mut self.scratch;
-        s.next_prepass_epoch();
-        let epoch = s.prepass_epoch;
-        for (ti, t) in obs.tasks.iter().enumerate() {
-            if s.t_core[ti] == SLOT_NONE {
-                continue;
-            }
-            if s.task_seen_epoch.len() <= t.id.0 {
-                s.task_seen_epoch.resize(t.id.0 + 1, 0);
-            }
-            if s.task_seen_epoch[t.id.0] == epoch {
-                return false;
-            }
-            s.task_seen_epoch[t.id.0] = epoch;
-            s.t_agent[ti] = Self::ensure_agent(
-                &mut self.task_slots,
-                &mut self.task_agents,
-                &mut self.free_agents,
-                t.id,
-                t.demand,
-            );
-        }
-        lap(prof.as_deref_mut(), mark, Phase::MarketBid);
-
-        // --- Parallel region: shard k owns cluster slots [k·n/S, (k+1)·n/S)
-        // and writes only its own `ShardScratch`. ---
-        let nclusters = obs.clusters.len();
-        let sharding = self.sharding.as_ref().expect("sharded_stages needs a pool");
-        let nshards = sharding.pool.shards();
-        let ctx = ShardCtx {
-            obs,
-            s: &self.scratch,
-            task_agents: &self.task_agents,
-            cluster_agents: &self.cluster_agents,
-            config: &self.config,
-            initial_bid: self.initial_bid,
-            emergency: self.state == PowerState::Emergency,
-        };
-        sharding.pool.run(&|k| {
-            let mut sh = sharding.shards[k].lock().expect("shard scratch");
-            let c0 = k * nclusters / nshards;
-            let c1 = (k + 1) * nclusters / nshards;
-            run_shard(&ctx, c0, c1, &mut sh);
-        });
-        lap(prof.as_deref_mut(), mark, Phase::MarketShard);
-
-        // --- Merge in shard order = cluster slot order: agent writebacks
-        // land exactly where the serial loops would have written, and the
-        // DVFS list comes out in ascending cluster slot order like the
-        // serial cluster-agent loop's. ---
-        for shard in &sharding.shards {
-            let sh = shard.lock().expect("shard scratch");
-            out.prices.extend_from_slice(&sh.prices);
-            out.shares.extend_from_slice(&sh.shares);
-            out.tasks.extend_from_slice(&sh.tasks);
-            for &(slot, agent) in &sh.agents {
-                self.task_agents[slot as usize] = agent;
-            }
-            for co in &sh.clusters {
-                let vs = co.vs as usize;
-                self.cluster_agents[obs.clusters[vs].id.0] = co.agent;
-                if let Some(step) = co.step {
-                    out.dvfs.push((obs.clusters[vs].id, step));
-                }
-                self.scratch.cl_reacting[vs] = co.reacting;
-                self.scratch.cl_constrained[vs] = co.constrained;
-                self.scratch.cl_constr_demand[vs] = co.constr_demand;
-            }
-        }
-        // Keys are unique (stage A de-duplicates cores, the prepass above
-        // de-duplicates tasks), so sorting the concatenation yields the
-        // exact sequence the serial sorts produce.
-        out.prices.sort_unstable_by_key(|(c, _)| *c);
-        out.shares.sort_unstable_by_key(|(t, _)| *t);
-        out.tasks.sort_unstable_by_key(|t| t.id);
-        lap(prof, mark, Phase::MarketPrice);
-        true
     }
 
     /// Epilogue of every full recompute: re-anchor the stage-skip

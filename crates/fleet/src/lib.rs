@@ -43,6 +43,7 @@
 //! assert_eq!(fleet.exchange().unwrap().epochs(), 10);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod exchange;

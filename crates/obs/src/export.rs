@@ -21,7 +21,7 @@ pub fn csv_header(rec: &SeriesRecorder) -> String {
     let (n_cl, n_co, n_t) = rec.shape();
     let mut h = String::from(
         "t_s,chip_power_w,tdp_headroom_w,hottest_c,allowance,money_supply,\
-         market_fast_hit,market_dirty_stages,market_workers,\
+         market_fast_hit,market_dirty_stages,\
          sensor_fallbacks,dvfs_retries,migration_retries,tasks_orphaned,\
          obs_dropped_rows,obs_alerts_firing,obs_stream_rows,obs_stream_lost,\
          obs_stream_flushes",
@@ -68,7 +68,6 @@ fn csv_row_cells(rec: &SeriesRecorder, i: usize, line: &mut String) {
         rec.money_supply[i],
         rec.market_fast_hit[i],
         rec.market_dirty_stages[i],
-        rec.market_workers[i],
     ] {
         line.push(',');
         line.push_str(&cell(v));
@@ -231,7 +230,6 @@ pub(crate) fn jsonl_row(rec: &SeriesRecorder, i: usize, line: &mut String) {
             ("money_supply", rec.money_supply[i]),
             ("market_fast_hit", rec.market_fast_hit[i]),
             ("market_dirty_stages", rec.market_dirty_stages[i]),
-            ("market_workers", rec.market_workers[i]),
         ] {
             line.push_str(&format!(",\"{k}\":{}", jnum(v)));
         }
@@ -485,7 +483,6 @@ fn recorder_events(
         for p in [
             Phase::MarketDiff,
             Phase::MarketBid,
-            Phase::MarketShard,
             Phase::MarketPrice,
             Phase::MarketDvfs,
             Phase::Lbt,
@@ -658,9 +655,9 @@ mod tests {
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 1 + 3);
         let cols = lines[0].split(',').count();
-        // 13 scalars + 5 obs self-metrics + 11 phases + 2·4 cluster
-        // + 3·2 core + 2·8 task = 59.
-        assert_eq!(cols, 59);
+        // 12 scalars + 5 obs self-metrics + 10 phases + 2·4 cluster
+        // + 3·2 core + 2·8 task = 57.
+        assert_eq!(cols, 57);
         for row in &lines[1..] {
             assert_eq!(row.split(',').count(), cols, "ragged row: {row}");
         }
@@ -692,9 +689,9 @@ mod tests {
         let text = String::from_utf8(buf).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 1 + 3);
-        // 1 shared t_s + chip 0's 58 columns + chip 1's 44 columns.
+        // 1 shared t_s + chip 0's 56 columns + chip 1's 42 columns.
         let cols = lines[0].split(',').count();
-        assert_eq!(cols, 1 + 58 + 44);
+        assert_eq!(cols, 1 + 56 + 42);
         assert!(lines[0].starts_with("t_s,c0_chip_power_w,"));
         assert!(lines[0].contains(",c1_chip_power_w,"));
         assert!(lines[0].contains(",c1_cl0_freq_mhz,"));

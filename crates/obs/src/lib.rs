@@ -1,4 +1,4 @@
-//! # ppm-obs — zero-overhead observability for the PPM simulator
+//! # ppm-obs — observability for the PPM simulator
 //!
 //! Six pieces, all dependency-free:
 //!
@@ -26,13 +26,18 @@
 //! - [`http`] — a `std::net` scrape endpoint serving Prometheus text and
 //!   a JSON snapshot from a double-buffered publish slot.
 //!
-//! The contract that makes this "zero-overhead": the simulator carries an
-//! `Option<Telemetry>`; when `None`, every instrumentation site is a
-//! single branch and the goldens/allocation tests prove nothing else
-//! happens. When `Some`, observation is strictly read-only — the
-//! committed golden actuation tapes are bit-identical either way, with or
-//! without aggregation, alerting, and a live scrape server attached.
+//! The contract: the simulator carries an `Option<Telemetry>`; when
+//! `None`, every instrumentation site is a single branch and the
+//! goldens/allocation tests prove nothing else happens. When `Some`,
+//! observation is strictly read-only — the committed golden actuation
+//! tapes are bit-identical either way, with or without aggregation,
+//! alerting, and a live scrape server attached — but it costs wall time:
+//! the ops plane adds 64 % per quantum on the V64/C8 open-loop cell
+//! (`obs.overhead_frac` = 0.640 from
+//! `python3 perfbench/run.py --workload v64_ops --seed 1303 --seconds 25 --trace 1`
+//! on a 2-vCPU Intel Xeon host).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod aggregate;

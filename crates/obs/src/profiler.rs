@@ -40,14 +40,8 @@ pub enum Phase {
     /// round, the whole round).
     MarketDiff,
     /// Market sub-phase: slot placement, allowance distribution, task bids.
-    /// In a sharded round this covers the serial agent-slot prepass.
     MarketBid,
-    /// Market sub-phase: the parallel region of a sharded round — bidding,
-    /// price discovery, purchases and cluster agents fanned out over the
-    /// worker pool (zero in serial rounds).
-    MarketShard,
-    /// Market sub-phase: core-agent price discovery and purchases. In a
-    /// sharded round this covers the slot-order merge and output sorts.
+    /// Market sub-phase: core-agent price discovery and purchases.
     MarketPrice,
     /// Market sub-phase: cluster inflation/deflation and chip allowance.
     MarketDvfs,
@@ -57,7 +51,7 @@ pub enum Phase {
 
 impl Phase {
     /// Number of phases (sizes the fixed arrays).
-    pub const COUNT: usize = 11;
+    pub const COUNT: usize = 10;
 
     /// Every phase, in display order.
     pub const ALL: [Phase; Phase::COUNT] = [
@@ -68,7 +62,6 @@ impl Phase {
         Phase::Audit,
         Phase::MarketDiff,
         Phase::MarketBid,
-        Phase::MarketShard,
         Phase::MarketPrice,
         Phase::MarketDvfs,
         Phase::Lbt,
@@ -85,7 +78,6 @@ impl Phase {
             Phase::Audit => "audit",
             Phase::MarketDiff => "market_diff",
             Phase::MarketBid => "market_bid",
-            Phase::MarketShard => "market_shard",
             Phase::MarketPrice => "market_price",
             Phase::MarketDvfs => "market_dvfs",
             Phase::Lbt => "lbt",
@@ -99,7 +91,6 @@ impl Phase {
             self,
             Phase::MarketDiff
                 | Phase::MarketBid
-                | Phase::MarketShard
                 | Phase::MarketPrice
                 | Phase::MarketDvfs
                 | Phase::Lbt

@@ -34,9 +34,6 @@ pub struct PolicySample {
     /// Observation sections found dirty by the last round's diff (0–4),
     /// `NaN` without an incremental market.
     pub market_dirty_stages: f64,
-    /// Threads the market's full rounds fan out over (1 = serial, the pool
-    /// shard count with a worker pool attached), `NaN` without a market.
-    pub market_workers: f64,
     core_price: Vec<f64>,
 }
 
@@ -48,7 +45,6 @@ impl PolicySample {
             money_supply: f64::NAN,
             market_fast_hit: f64::NAN,
             market_dirty_stages: f64::NAN,
-            market_workers: f64::NAN,
             core_price: Vec::new(),
         }
     }
@@ -61,7 +57,6 @@ impl PolicySample {
         self.money_supply = f64::NAN;
         self.market_fast_hit = f64::NAN;
         self.market_dirty_stages = f64::NAN;
-        self.market_workers = f64::NAN;
         if self.core_price.len() != cores {
             self.core_price.resize(cores, f64::NAN);
         }
@@ -103,7 +98,6 @@ pub struct SeriesRecorder {
     pub(crate) money_supply: Col,
     pub(crate) market_fast_hit: Col,
     pub(crate) market_dirty_stages: Col,
-    pub(crate) market_workers: Col,
     pub(crate) sensor_fallbacks: Vec<u64>,
     pub(crate) dvfs_retries: Vec<u64>,
     pub(crate) migration_retries: Vec<u64>,
@@ -158,7 +152,6 @@ impl SeriesRecorder {
             money_supply: vec![f64::NAN; capacity],
             market_fast_hit: vec![f64::NAN; capacity],
             market_dirty_stages: vec![f64::NAN; capacity],
-            market_workers: vec![f64::NAN; capacity],
             sensor_fallbacks: vec![0; capacity],
             dvfs_retries: vec![0; capacity],
             migration_retries: vec![0; capacity],
@@ -235,7 +228,6 @@ impl SeriesRecorder {
         self.money_supply[i] = f64::NAN;
         self.market_fast_hit[i] = f64::NAN;
         self.market_dirty_stages[i] = f64::NAN;
-        self.market_workers[i] = f64::NAN;
         self.sensor_fallbacks[i] = 0;
         self.dvfs_retries[i] = 0;
         self.migration_retries[i] = 0;
@@ -336,7 +328,6 @@ impl RowWriter<'_> {
         self.rec.money_supply[self.i] = sample.money_supply;
         self.rec.market_fast_hit[self.i] = sample.market_fast_hit;
         self.rec.market_dirty_stages[self.i] = sample.market_dirty_stages;
-        self.rec.market_workers[self.i] = sample.market_workers;
         for c in 0..self.rec.n_cores {
             self.rec.core_price[c][self.i] = sample.core_price(c);
         }

@@ -28,6 +28,7 @@
 //! assert_eq!(chip.cluster(ClusterId(0)).level(), top);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod chip;

@@ -131,9 +131,7 @@ impl Args {
                         .parse()
                         .map_err(|e| format!("--duration: {e}"))?
                 }
-                "--tdp" => {
-                    args.tdp = Some(value("--tdp")?.parse().map_err(|e| format!("--tdp: {e}"))?)
-                }
+                "--tdp" => args.tdp = Some(watts("--tdp", value("--tdp")?)?),
                 "--task" => args.tasks.push(value("--task")?),
                 "--no-lbt" => args.no_lbt = true,
                 "--online" => args.online = true,
@@ -174,6 +172,20 @@ impl Args {
             return Err("--linger needs --serve (there is no endpoint to hold open)".into());
         }
         Ok(args)
+    }
+}
+
+/// Parse a power flag's value: a positive, finite (and normal) number of
+/// watts. Zero, negatives, `inf` and `nan` would otherwise reach the
+/// managers' budget checks and panic, or print `NaN` reports.
+fn watts(name: &str, v: String) -> Result<f64, String> {
+    let w: f64 = v.parse().map_err(|e| format!("{name}: {e}"))?;
+    if w.is_normal() && w > 0.0 {
+        Ok(w)
+    } else {
+        Err(format!(
+            "{name} must be a positive, finite number of watts, got `{v}`"
+        ))
     }
 }
 
@@ -559,9 +571,7 @@ impl FleetArgs {
             };
             match flag.as_str() {
                 "--chips" => args.chips = num("--chips", value("--chips"))? as usize,
-                "--cap" => {
-                    args.cap = Some(value("--cap")?.parse().map_err(|e| format!("--cap: {e}"))?)
-                }
+                "--cap" => args.cap = Some(watts("--cap", value("--cap")?)?),
                 "--duration" => args.duration = num("--duration", value("--duration"))?,
                 "--clusters" => args.clusters = num("--clusters", value("--clusters"))? as usize,
                 "--cores" => args.cores = num("--cores", value("--cores"))? as usize,

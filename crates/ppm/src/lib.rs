@@ -16,7 +16,7 @@
 //! * [`baselines`] — the evaluation's comparison schemes, HPM and HL.
 //! * [`predict`] — the online power-performance estimator (the paper's
 //!   stated future work, replacing off-line profiling).
-//! * [`obs`] — the zero-overhead telemetry layer: per-quantum time-series
+//! * [`obs`] — the telemetry layer: per-quantum time-series
 //!   recorder, manager phase profiler, and Chrome-trace/CSV/JSONL exporters.
 //! * [`fleet`] — the multi-chip layer: N chip simulations under one
 //!   datacenter power cap, traded per epoch on a price-theory
@@ -49,6 +49,7 @@
 //! the experiment binaries in the `ppm-bench` crate regenerate every table
 //! and figure of the paper's evaluation (see `EXPERIMENTS.md`).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use ppm_baselines as baselines;

@@ -23,6 +23,7 @@
 //! LBT snapshot builder needs, so the manager can run entirely without the
 //! off-line tables.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::collections::HashMap;

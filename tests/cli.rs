@@ -193,15 +193,23 @@ fn alert_exit_codes_reflect_the_tape() {
     assert!(stdout.contains("0 fired over the run"), "{stdout}");
 }
 
-/// Incoherent flag combinations fail fast with a clear message and exit
-/// 2, in both single-chip and fleet modes.
+/// Incoherent flag combinations and out-of-range power budgets fail fast
+/// with a clear message and exit 2, in both single-chip and fleet modes.
 #[test]
 fn incoherent_flags_fail_fast() {
-    let cases: [&[&str]; 4] = [
+    let cases: [&[&str]; 12] = [
         &["--linger", "5"],
         &["fleet", "--linger", "5"],
         &["fleet", "--chips", "0"],
         &["--serve", "256.256.256.256:1", "--duration", "1"],
+        &["--scheme", "ppm", "--tdp", "0"],
+        &["--scheme", "ppm", "--tdp", "-2"],
+        &["--scheme", "ppm", "--tdp", "inf"],
+        &["--scheme", "ppm", "--tdp", "nan"],
+        &["--scheme", "hpm", "--tdp", "nan"],
+        &["fleet", "--cap", "0"],
+        &["fleet", "--cap", "nan"],
+        &["fleet", "--cap", "-inf"],
     ];
     for args in cases {
         let out = ppm_sim().args(args).output().expect("run ppm-sim");

@@ -1,13 +1,11 @@
 //! Property-based tests on the market's §3.2 invariants, driven by random
 //! task populations, demand trajectories, and power curves.
 
-use std::sync::Arc;
-
 use proptest::prelude::*;
 
 use ppm::core::config::PpmConfig;
 use ppm::core::market::{ClusterObs, CoreObs, Market, MarketObs, TaskObs, VfStep};
-use ppm::core::{PowerState, WorkerPool};
+use ppm::core::PowerState;
 use ppm::platform::cluster::ClusterId;
 use ppm::platform::core::CoreId;
 use ppm::platform::units::{Money, ProcessingUnits, Watts};
@@ -274,82 +272,6 @@ proptest! {
                 );
             }
             w.apply(&di);
-        }
-    }
-
-    /// The sharded market (DESIGN.md §13) is bit-identical to the serial
-    /// path at every worker count, under the same churn interleavings the
-    /// incremental property uses: decisions render byte-equal and the
-    /// re-derived §3.2 money books (per-agent savings and bids) match
-    /// bitwise after every round. The sharded markets keep the incremental
-    /// fast path at its default (on), so this also proves sharding composes
-    /// with replay; the reference is an always-full serial market.
-    #[test]
-    fn sharded_equals_serial_bit_for_bit(
-        world in world_strategy(),
-        ops in proptest::collection::vec(churn_strategy(), 0..30),
-    ) {
-        let mut w = world;
-        let mut serial = Market::new(PpmConfig::tc2());
-        serial.set_incremental(false);
-        // market_workers ∈ {1, 2, 4, 8}: a pool of n−1 threads serves n
-        // shards (the dispatching thread runs shard 0).
-        let mut sharded: Vec<Market> = [1usize, 2, 4, 8]
-            .iter()
-            .map(|&n| {
-                let mut m = Market::new(PpmConfig::tc2());
-                m.attach_pool(Arc::new(WorkerPool::new(n - 1)));
-                m
-            })
-            .collect();
-        let mut power_bias = 0.0f64;
-        let stable_tail = std::iter::repeat_n(Churn::Stable, 40);
-        for (step, op) in ops.into_iter().chain(stable_tail).enumerate() {
-            match op {
-                Churn::Stable => {}
-                Churn::Demand(i, d) => {
-                    let n = w.demands.len();
-                    w.demands[i % n] = d;
-                }
-                Churn::Power(p) => power_bias = p,
-                Churn::Remove(i) => {
-                    let id = TaskId(i % w.demands.len());
-                    serial.remove_task(id);
-                    for m in &mut sharded {
-                        m.remove_task(id);
-                    }
-                }
-                Churn::Add(p, d) => {
-                    w.priorities.push(p);
-                    w.demands.push(d);
-                }
-            }
-            let mut obs = w.obs();
-            obs.chip_power = Watts(obs.chip_power.value() + power_bias);
-            let ds = serial.round(&obs);
-            let rendered = format!("{ds:?}");
-            for (mi, m) in sharded.iter_mut().enumerate() {
-                let workers = m.workers();
-                let dm = m.round(&obs);
-                prop_assert_eq!(
-                    format!("{dm:?}"), rendered.clone(),
-                    "step {}: {} shards diverged from serial", step, workers
-                );
-                for i in 0..w.demands.len() {
-                    let id = TaskId(i);
-                    prop_assert_eq!(
-                        m.savings_of(id).value().to_bits(),
-                        serial.savings_of(id).value().to_bits(),
-                        "step {}: savings of task {} diverged at market {}", step, i, mi
-                    );
-                    prop_assert_eq!(
-                        m.bid_of(id).value().to_bits(),
-                        serial.bid_of(id).value().to_bits(),
-                        "step {}: bid of task {} diverged at market {}", step, i, mi
-                    );
-                }
-            }
-            w.apply(&ds);
         }
     }
 

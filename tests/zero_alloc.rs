@@ -215,44 +215,6 @@ fn market_churn_rounds_do_not_allocate_after_warmup() {
     );
 }
 
-/// Sharded steady-state rounds (DESIGN.md §13) are allocation-free too:
-/// after warm-up has sized the per-shard output buffers, the traversal
-/// CSRs, and the prepass epoch map, dispatching a round over the persistent
-/// pool touches the allocator exactly zero times — parked threads wake via
-/// the condvar, the job is a borrowed closure, and every shard writes into
-/// retained capacity. The measured block churns demands every round so the
-/// sharded full-recompute path itself is what runs, not the fast path.
-#[test]
-fn steady_state_sharded_market_round_does_not_allocate() {
-    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
-    let mut snapshot = obs(4, 4, 8);
-    let mut market = Market::new(PpmConfig::tc2());
-    // 3 workers + the dispatching thread = 4 shards, one per cluster.
-    market.attach_pool(std::sync::Arc::new(ppm::core::WorkerPool::new(3)));
-    assert_eq!(market.workers(), 4);
-    let mut out = MarketDecision::default();
-
-    for _ in 0..50 {
-        market.round_into(&snapshot, &mut out);
-    }
-
-    let full_before = market.full_recomputes();
-    assert_no_alloc("sharded steady-state rounds", || {
-        for round in 0..100 {
-            for (i, t) in snapshot.tasks.iter_mut().enumerate() {
-                t.demand = ProcessingUnits(10.0 + ((i * 13 + round * 5) % 41) as f64);
-            }
-            market.round_into(&snapshot, &mut out);
-        }
-    });
-    assert!(
-        market.full_recomputes() - full_before >= 100,
-        "every measured round must run the sharded full engine"
-    );
-    assert_eq!(out.tasks.len(), snapshot.tasks.len());
-    assert!(out.allowance.value() > 0.0);
-}
-
 /// A manager that plans every quantum — shares cycle between two values and
 /// the LITTLE cluster's level toggles — so the proof covers snapshot
 /// capture, planning, plan application (shares + DVFS) and `System::step`,
